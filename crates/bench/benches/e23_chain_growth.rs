@@ -3,11 +3,11 @@
 //! pruned chain.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hc_common::clock::{SimClock, SimDuration, SimInstant};
+use hc_common::clock::{SimClock, SimInstant};
 use hc_common::id::TxId;
 use hc_ledger::block::Transaction;
 use hc_ledger::chain::{CheckpointConfig, Ledger};
-use hc_ledger::consensus::{PbftCluster, PipelinedCluster};
+use hc_ledger::consensus::PipelinedCluster;
 use hc_ledger::policy::ProvenancePolicy;
 use std::hint::black_box;
 
@@ -23,9 +23,8 @@ fn tx(i: u128) -> Transaction {
 }
 
 fn grown_ledger(blocks: u64, interval: u64) -> Ledger {
-    let clock = SimClock::new();
-    let cluster = PbftCluster::new(4, SimDuration::from_millis(1), clock.clone()).unwrap();
-    let mut ledger = Ledger::new(cluster, clock);
+    let cluster = PipelinedCluster::new(4, 1, SimClock::new()).unwrap();
+    let mut ledger = Ledger::new(cluster);
     ledger.install_policy(Box::new(ProvenancePolicy));
     ledger.enable_checkpoints(CheckpointConfig::every(interval));
     for b in 0..blocks as u128 {
@@ -43,11 +42,8 @@ fn bench_grow_and_prune(c: &mut Criterion) {
     for blocks in [128u64, 512] {
         group.bench_with_input(BenchmarkId::from_parameter(blocks), &blocks, |b, &blocks| {
             b.iter(|| {
-                let clock = SimClock::new();
-                let cluster =
-                    PipelinedCluster::new(4, 16, SimDuration::from_millis(1), clock.clone())
-                        .unwrap();
-                let mut ledger = Ledger::new_pipelined(cluster, clock);
+                let cluster = PipelinedCluster::new(4, 16, SimClock::new()).unwrap();
+                let mut ledger = Ledger::new(cluster);
                 ledger.install_policy(Box::new(ProvenancePolicy));
                 ledger.enable_checkpoints(CheckpointConfig::every(16));
                 let batches: Vec<Vec<Transaction>> = (0..blocks as u128)

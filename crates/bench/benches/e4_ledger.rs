@@ -1,12 +1,13 @@
-//! E4 — blockchain commit cost vs peer count and batch size, plus the
-//! pipelined engine and the parallel validation stream.
+//! E4 — blockchain commit cost vs peer count and batch size, sequential
+//! (`window = 1`) and pipelined (`window = 16`), plus the parallel
+//! validation stream.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hc_common::clock::{SimClock, SimDuration, SimInstant};
+use hc_common::clock::{SimClock, SimInstant};
 use hc_common::id::TxId;
 use hc_ledger::block::Transaction;
 use hc_ledger::chain::Ledger;
-use hc_ledger::consensus::{PbftCluster, PipelinedCluster};
+use hc_ledger::consensus::PipelinedCluster;
 use hc_ledger::policy::ProvenancePolicy;
 use std::hint::black_box;
 
@@ -25,8 +26,7 @@ fn bench_consensus(c: &mut Criterion) {
     let mut group = c.benchmark_group("e4_consensus_propose");
     for peers in [4usize, 7, 13] {
         group.bench_with_input(BenchmarkId::from_parameter(peers), &peers, |b, &peers| {
-            let mut cluster =
-                PbftCluster::new(peers, SimDuration::from_millis(1), SimClock::new()).unwrap();
+            let mut cluster = PipelinedCluster::new(peers, 1, SimClock::new()).unwrap();
             b.iter(|| black_box(cluster.propose().unwrap().messages))
         });
     }
@@ -37,9 +37,8 @@ fn bench_ledger_submit(c: &mut Criterion) {
     let mut group = c.benchmark_group("e4_ledger_submit");
     for batch in [1usize, 16, 64] {
         group.bench_with_input(BenchmarkId::new("batch", batch), &batch, |b, &batch| {
-            let clock = SimClock::new();
-            let cluster = PbftCluster::new(4, SimDuration::from_millis(1), clock.clone()).unwrap();
-            let mut ledger = Ledger::new(cluster, clock);
+            let cluster = PipelinedCluster::new(4, 1, SimClock::new()).unwrap();
+            let mut ledger = Ledger::new(cluster);
             ledger.install_policy(Box::new(ProvenancePolicy));
             let mut i = 0u128;
             b.iter(|| {
@@ -60,9 +59,8 @@ fn bench_verify_chain(c: &mut Criterion) {
     let mut group = c.benchmark_group("e4_verify_chain");
     group.sample_size(10);
     for height in [64usize, 512] {
-        let clock = SimClock::new();
-        let cluster = PbftCluster::new(4, SimDuration::from_millis(1), clock.clone()).unwrap();
-        let mut ledger = Ledger::new(cluster, clock);
+        let cluster = PipelinedCluster::new(4, 1, SimClock::new()).unwrap();
+        let mut ledger = Ledger::new(cluster);
         ledger.install_policy(Box::new(ProvenancePolicy));
         for i in 0..height {
             ledger.submit(vec![tx(i as u128)]).unwrap();
@@ -78,9 +76,7 @@ fn bench_pipelined_propose(c: &mut Criterion) {
     let mut group = c.benchmark_group("e4_pipelined_propose");
     for peers in [4usize, 7, 13] {
         group.bench_with_input(BenchmarkId::from_parameter(peers), &peers, |b, &peers| {
-            let mut cluster =
-                PipelinedCluster::new(peers, 16, SimDuration::from_millis(1), SimClock::new())
-                    .unwrap();
+            let mut cluster = PipelinedCluster::new(peers, 16, SimClock::new()).unwrap();
             b.iter(|| black_box(cluster.propose().unwrap().messages))
         });
     }
@@ -97,11 +93,8 @@ fn bench_submit_stream(c: &mut Criterion) {
             |b, &workers| {
                 let mut i = 0u128;
                 b.iter(|| {
-                    let clock = SimClock::new();
-                    let cluster =
-                        PipelinedCluster::new(4, 16, SimDuration::from_millis(1), clock.clone())
-                            .unwrap();
-                    let mut ledger = Ledger::new_pipelined(cluster, clock);
+                    let cluster = PipelinedCluster::new(4, 16, SimClock::new()).unwrap();
+                    let mut ledger = Ledger::new(cluster);
                     ledger.install_policy(Box::new(ProvenancePolicy));
                     let batches: Vec<Vec<Transaction>> = (0..32)
                         .map(|_| {

@@ -16,7 +16,7 @@ use hc_attest::image::ImageRegistry;
 use hc_attest::measure::{measured_boot, Component};
 use hc_attest::tpm::Tpm;
 use hc_cloudsim::infra::InfraCloud;
-use hc_common::clock::{SimClock, SimDuration};
+use hc_common::clock::SimClock;
 use hc_common::id::{EnvId, GroupId, OrgId, PatientId, ReferenceId, TenantId, UserId};
 use hc_crypto::kms::KeyManagementSystem;
 use hc_fhir::bundle::{Bundle, BundleKind};
@@ -27,7 +27,7 @@ use hc_ingest::status::{IngestionStatus, StatusUrl};
 use hc_ledger::audit::AuditorView;
 use hc_ledger::identity::{Credential, DidError, DidRegistry, Holder, IdentityMixer};
 use hc_ledger::chain::{ChainStatus, Ledger};
-use hc_ledger::consensus::PbftCluster;
+use hc_ledger::consensus::PipelinedCluster;
 use hc_ledger::policy::{MalwarePolicy, PrivacyPolicy, ProvenancePolicy};
 use hc_ledger::provenance::{ProvenanceEvent, ProvenanceNetwork};
 use hc_resilience::{DegradationTracker, HealthState, SubsystemStatus};
@@ -148,17 +148,15 @@ impl HealthCloudPlatform {
         let lake = Arc::new(Mutex::new(DataLake::new(clock.clone())));
         let consent = Arc::new(Mutex::new(ConsentRegistry::new(clock.clone())));
 
-        let cluster = PbftCluster::new(
-            config.consensus_peers,
-            SimDuration::from_millis(1),
-            clock.clone(),
-        )
-        .expect("config.consensus_peers must be >= 4");
-        let mut ledger = Ledger::new(cluster, clock.clone());
+        // Both ledgers commit through the sequential protocol
+        // (`window = 1`): each block commits before `submit` returns.
+        let cluster = PipelinedCluster::new(config.consensus_peers, 1, clock.clone())
+            .expect("config.consensus_peers must be >= 4");
+        let mut ledger = Ledger::new(cluster);
         ledger.install_policy(Box::new(ProvenancePolicy));
         ledger.install_policy(Box::new(MalwarePolicy));
         ledger.install_policy(Box::new(PrivacyPolicy { min_k: 2 }));
-        let mut provenance_net = ProvenanceNetwork::new(ledger, clock.clone(), config.ledger_batch);
+        let mut provenance_net = ProvenanceNetwork::new(ledger, config.ledger_batch);
         if telemetry_on {
             provenance_net.instrument(&telemetry);
         }
@@ -197,16 +195,9 @@ impl HealthCloudPlatform {
 
         // The identity blockchain is a *separate* permissioned network,
         // as the paper describes for its per-purpose networks.
-        let identity_cluster = PbftCluster::new(
-            config.consensus_peers,
-            SimDuration::from_millis(1),
-            clock.clone(),
-        )
-        .expect("checked above");
-        let identity_network = DidRegistry::new(
-            Ledger::new(identity_cluster, clock.clone()),
-            clock.clone(),
-        );
+        let identity_cluster = PipelinedCluster::new(config.consensus_peers, 1, clock.clone())
+            .expect("checked above");
+        let identity_network = DidRegistry::new(Ledger::new(identity_cluster));
         let mixer = IdentityMixer::new(&mut rng);
 
         // The health tracker mirrors Fig. 1: the ledger and the data

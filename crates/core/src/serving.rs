@@ -49,7 +49,7 @@ use hc_common::clock::{SimClock, SimDuration, SimInstant};
 use hc_common::conc::{percentile, zipf_key_fast, LoadCurve};
 use hc_common::rng::seeded_stream;
 use hc_ledger::chain::Ledger;
-use hc_ledger::consensus::PbftCluster;
+use hc_ledger::consensus::PipelinedCluster;
 use hc_ledger::policy::ProvenancePolicy;
 use hc_ledger::provenance::{ProvenanceAction, ProvenanceEvent, ProvenanceNetwork};
 use hc_resilience::admission::{AdmissionController, Tier};
@@ -373,12 +373,11 @@ impl ServingStack {
             .as_ref()
             .map(|fc| FleetTier::new(fc, clock.clone(), cfg.seed));
         let provenance = (cfg.provenance_sample > 0).then(|| {
-            let ledger_clock = SimClock::new();
-            let cluster = PbftCluster::new(4, SimDuration::from_millis(1), ledger_clock.clone())
+            let cluster = PipelinedCluster::new(4, 1, SimClock::new())
                 .expect("4-node PBFT cluster is always constructible"); // hc-lint: allow(panic-expect)
-            let mut ledger = Ledger::new(cluster, ledger_clock.clone());
+            let mut ledger = Ledger::new(cluster);
             ledger.install_policy(Box::new(ProvenancePolicy));
-            ProvenanceNetwork::new(ledger, ledger_clock, cfg.provenance_batch.max(1))
+            ProvenanceNetwork::new(ledger, cfg.provenance_batch.max(1))
         });
         let mut tracker = DegradationTracker::new();
         tracker.register("serving", true);

@@ -228,6 +228,7 @@ mod tests {
     use crate::status::IngestionStatus;
     use hc_fhir::resource::{Consent, Gender, Observation, Patient, Resource};
     use hc_fhir::types::{CodeableConcept, Quantity, SimDate};
+    use hc_ledger::audit::AuditorView;
 
     fn bundle_for(pid: &str, consent: bool, granted: bool) -> Bundle {
         let mut entries = vec![
@@ -332,7 +333,7 @@ mod tests {
         let export = pipeline.export_service();
         let _ = export.export_full(patient).unwrap();
         let provenance = pipeline.shared.provenance.lock();
-        let history = provenance.history(references[0]);
+        let history = AuditorView::new(provenance.ledger()).record_history(references[0]);
         assert!(history
             .iter()
             .any(|e| e.action == ProvenanceAction::Exported && e.detail == "full"));

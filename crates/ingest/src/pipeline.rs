@@ -1122,12 +1122,12 @@ impl IngestionPipeline {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use hc_common::clock::SimDuration;
     use hc_fhir::bundle::BundleKind;
     use hc_fhir::resource::{Consent, Gender, Observation, Patient};
     use hc_fhir::types::{CodeableConcept, Quantity, SimDate};
+    use hc_ledger::audit::AuditorView;
     use hc_ledger::chain::Ledger;
-    use hc_ledger::consensus::PbftCluster;
+    use hc_ledger::consensus::PipelinedCluster;
     use hc_ledger::policy::{MalwarePolicy, ProvenancePolicy};
 
     pub(crate) fn build_pipeline(seed: u64) -> IngestionPipeline {
@@ -1136,11 +1136,11 @@ pub(crate) mod tests {
         let kms = Arc::new(KeyManagementSystem::new(&mut rng));
         let lake = Arc::new(Mutex::new(DataLake::new(clock.clone())));
         let consent = Arc::new(Mutex::new(ConsentRegistry::new(clock.clone())));
-        let cluster = PbftCluster::new(4, SimDuration::from_millis(1), clock.clone()).unwrap();
-        let mut ledger = Ledger::new(cluster, clock.clone());
+        let cluster = PipelinedCluster::new(4, 1, clock).unwrap();
+        let mut ledger = Ledger::new(cluster);
         ledger.install_policy(Box::new(ProvenancePolicy));
         ledger.install_policy(Box::new(MalwarePolicy));
-        let provenance = Arc::new(Mutex::new(ProvenanceNetwork::new(ledger, clock, 1)));
+        let provenance = Arc::new(Mutex::new(ProvenanceNetwork::new(ledger, 1)));
         IngestionPipeline::new(
             PipelineDeps {
                 kms,
@@ -1197,7 +1197,7 @@ pub(crate) mod tests {
         };
         assert_eq!(references.len(), 1);
         let provenance = pipeline.shared.provenance.lock();
-        let history = provenance.history(references[0]);
+        let history = AuditorView::new(provenance.ledger()).record_history(references[0]);
         assert_eq!(history.len(), 2);
         assert_eq!(history[0].action, ProvenanceAction::Ingested);
         assert_eq!(history[1].action, ProvenanceAction::Anonymized);
@@ -1333,7 +1333,7 @@ pub(crate) mod tests {
             assert!(lake.get_latest(references[0]).is_err());
         }
         let provenance = pipeline.shared.provenance.lock();
-        let history = provenance.history(references[0]);
+        let history = AuditorView::new(provenance.ledger()).record_history(references[0]);
         assert_eq!(history.last().unwrap().action, ProvenanceAction::Deleted);
     }
 
@@ -1422,12 +1422,17 @@ pub(crate) mod tests {
         assert!(pipeline.is_degraded());
         // consent + ingested + anonymized
         assert_eq!(pipeline.buffered_anchor_count(), 3);
-        assert!(pipeline.shared.provenance.lock().history(references[0]).is_empty());
+        let provenance = pipeline.shared.provenance.lock();
+        assert!(AuditorView::new(provenance.ledger())
+            .record_history(references[0])
+            .is_empty());
+        drop(provenance);
         // Heal and replay: zero provenance loss.
         injector.heal(fault_points::LEDGER_PARTITION);
         assert_eq!(pipeline.replay_buffered_anchors(), 3);
         assert!(!pipeline.is_degraded());
-        let history = pipeline.shared.provenance.lock().history(references[0]);
+        let provenance = pipeline.shared.provenance.lock();
+        let history = AuditorView::new(provenance.ledger()).record_history(references[0]);
         assert_eq!(history.len(), 2);
         assert_eq!(history[0].action, ProvenanceAction::Ingested);
         assert_eq!(history[1].action, ProvenanceAction::Anonymized);

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use hc_access::consent::ConsentRegistry;
-use hc_common::clock::{SimClock, SimDuration};
+use hc_common::clock::SimClock;
 use hc_common::fault::{FaultInjector, FaultKind, FaultSpec};
 use hc_common::id::{GroupId, PatientId};
 use hc_crypto::kms::KeyManagementSystem;
@@ -22,7 +22,7 @@ use hc_fhir::resource::{Consent, Gender, Observation, Patient, Resource};
 use hc_fhir::types::{CodeableConcept, Quantity, SimDate};
 use hc_ingest::pipeline::{IngestionPipeline, PipelineDeps, PipelineStats};
 use hc_ledger::chain::Ledger;
-use hc_ledger::consensus::PbftCluster;
+use hc_ledger::consensus::PipelinedCluster;
 use hc_ledger::policy::{MalwarePolicy, ProvenancePolicy};
 use hc_ledger::provenance::ProvenanceNetwork;
 use hc_storage::datalake::DataLake;
@@ -40,11 +40,11 @@ fn build_pipeline(seed: u64) -> IngestionPipeline {
     let kms = Arc::new(KeyManagementSystem::new(&mut rng));
     let lake = Arc::new(Mutex::new(DataLake::new(clock.clone())));
     let consent = Arc::new(Mutex::new(ConsentRegistry::new(clock.clone())));
-    let cluster = PbftCluster::new(4, SimDuration::from_millis(1), clock.clone()).unwrap();
-    let mut ledger = Ledger::new(cluster, clock.clone());
+    let cluster = PipelinedCluster::new(4, 1, clock).unwrap();
+    let mut ledger = Ledger::new(cluster);
     ledger.install_policy(Box::new(ProvenancePolicy));
     ledger.install_policy(Box::new(MalwarePolicy));
-    let provenance = Arc::new(Mutex::new(ProvenanceNetwork::new(ledger, clock, 1)));
+    let provenance = Arc::new(Mutex::new(ProvenanceNetwork::new(ledger, 1)));
     IngestionPipeline::new(
         PipelineDeps {
             kms,

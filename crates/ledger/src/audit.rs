@@ -184,7 +184,7 @@ impl CentralAuditDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::consensus::PbftCluster;
+    use crate::consensus::PipelinedCluster;
     use crate::policy::ProvenancePolicy;
     use crate::provenance::ProvenanceNetwork;
     use hc_crypto::sha256;
@@ -200,11 +200,10 @@ mod tests {
     }
 
     fn committed_network() -> ProvenanceNetwork {
-        let clock = SimClock::new();
-        let cluster = PbftCluster::new(4, SimDuration::from_millis(1), clock.clone()).unwrap();
-        let mut ledger = Ledger::new(cluster, clock.clone());
+        let cluster = PipelinedCluster::new(4, 1, SimClock::new()).unwrap();
+        let mut ledger = Ledger::new(cluster);
         ledger.install_policy(Box::new(ProvenancePolicy));
-        let mut net = ProvenanceNetwork::new(ledger, clock, 1);
+        let mut net = ProvenanceNetwork::new(ledger, 1);
         net.record(&event(1, ProvenanceAction::Ingested, "ingest")).unwrap();
         net.record(&event(1, ProvenanceAction::Accessed, "alice")).unwrap();
         net.record(&event(1, ProvenanceAction::Deleted, "gdpr-service")).unwrap();

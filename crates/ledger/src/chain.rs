@@ -1,12 +1,12 @@
 //! The ledger: policy-validated append, full-chain verification,
 //! pipelined/parallel block commitment, and Merkle checkpointing.
 //!
-//! Two commitment engines sit behind one chain (see [`Engine`]): the
-//! strictly sequential [`PbftCluster`] and the windowed
-//! [`PipelinedCluster`]. Block contents are engine-independent — blocks
-//! are stamped from transaction content, so both engines produce
-//! byte-identical chains for the same batch schedule (the differential
-//! property `tests/ledger_pipeline.rs` locks down).
+//! One [`PipelinedCluster`] commits the chain; its window sets how many
+//! consensus instances overlap, with `window = 1` the sequential
+//! protocol. Block contents are window-independent — blocks are stamped
+//! from transaction content, so every window produces a byte-identical
+//! chain for the same batch schedule (the differential property
+//! `tests/ledger_pipeline.rs` locks down).
 //!
 //! Checkpoints anchor the chain for audit at scale: every `interval`
 //! blocks the ledger seals a Merkle *interval root* over that interval's
@@ -16,15 +16,13 @@
 //! ([`EventProof`], [`BlockProof`]) and checkpoint-prefix proofs
 //! ([`PrefixProof`]) — no chain replay needed.
 
-use std::collections::HashMap;
-
-use hc_common::clock::{SimClock, SimInstant};
+use hc_common::clock::SimInstant;
 use hc_crypto::merkle::{self, IndexedProof, MerkleTree};
 use hc_crypto::sha256::Digest;
 use hc_telemetry::{Counter, Gauge, Registry};
 
 use crate::block::{Block, BlockHeader, Transaction};
-use crate::consensus::{ConsensusError, ConsensusOutcome, PbftCluster, PipelinedCluster};
+use crate::consensus::{ConsensusError, ConsensusOutcome, PipelinedCluster};
 use crate::policy::ChainPolicy;
 
 /// Errors from ledger operations.
@@ -39,8 +37,6 @@ pub enum LedgerError {
     },
     /// Consensus could not commit the block.
     Consensus(ConsensusError),
-    /// The consensus round completed without a quorum.
-    NoQuorum,
     /// An empty batch was submitted.
     EmptyBatch,
     /// A transaction payload could not be serialised.
@@ -54,7 +50,6 @@ impl std::fmt::Display for LedgerError {
                 write!(f, "policy `{policy}` rejected transaction: {reason}")
             }
             LedgerError::Consensus(e) => write!(f, "consensus error: {e}"),
-            LedgerError::NoQuorum => f.write_str("no quorum"),
             LedgerError::EmptyBatch => f.write_str("empty transaction batch"),
             LedgerError::Encoding(e) => write!(f, "transaction payload encoding failed: {e}"),
         }
@@ -81,67 +76,6 @@ pub enum ChainStatus {
         /// What was wrong.
         reason: String,
     },
-}
-
-/// The consensus engine committing blocks onto the chain.
-#[derive(Debug)]
-pub enum Engine {
-    /// One PBFT instance at a time — the original E4 baseline.
-    Sequential(PbftCluster),
-    /// Up to a window of overlapped PBFT instances (boxed: the slot
-    /// window makes this variant much larger than the sequential one).
-    Pipelined(Box<PipelinedCluster>),
-}
-
-impl Engine {
-    fn propose(&mut self) -> Result<ConsensusOutcome, ConsensusError> {
-        match self {
-            Engine::Sequential(c) => c.propose(),
-            Engine::Pipelined(c) => c.propose(),
-        }
-    }
-
-    /// Commits every in-flight instance; a no-op for the sequential
-    /// engine, which never defers commitment.
-    pub fn drain(&mut self) -> usize {
-        match self {
-            Engine::Sequential(_) => 0,
-            Engine::Pipelined(c) => c.drain(),
-        }
-    }
-
-    /// Peers in the committing cluster.
-    pub fn peer_count(&self) -> usize {
-        match self {
-            Engine::Sequential(c) => c.peer_count(),
-            Engine::Pipelined(c) => c.peer_count(),
-        }
-    }
-
-    /// Marks a peer crashed (true) or recovered (false).
-    pub fn set_faulty(&mut self, peer: usize, faulty: bool) {
-        match self {
-            Engine::Sequential(c) => c.set_faulty(peer, faulty),
-            Engine::Pipelined(c) => c.set_faulty(peer, faulty),
-        }
-    }
-
-    /// Total protocol messages exchanged so far.
-    pub fn total_messages(&self) -> u64 {
-        match self {
-            Engine::Sequential(c) => c.total_messages(),
-            Engine::Pipelined(c) => c.total_messages(),
-        }
-    }
-
-    /// Mirrors the engine's consensus metrics into `registry`
-    /// (`ledger.consensus.*` or `ledger.pipeline.*`).
-    pub fn instrument(&mut self, registry: &Registry) {
-        match self {
-            Engine::Sequential(c) => c.instrument(registry),
-            Engine::Pipelined(c) => c.instrument(registry),
-        }
-    }
 }
 
 /// Checkpointing policy: how often to seal, how much body to retain.
@@ -369,8 +303,7 @@ pub struct Ledger {
     /// leaves checkpoint interval trees are built from.
     block_hashes: Vec<Digest>,
     policies: Vec<Box<dyn ChainPolicy>>,
-    engine: Engine,
-    clock: SimClock,
+    cluster: PipelinedCluster,
     ckpt_config: Option<CheckpointConfig>,
     checkpoints: Vec<Checkpoint>,
     interval_roots: Vec<Digest>,
@@ -384,32 +317,22 @@ impl std::fmt::Debug for Ledger {
             .field("height", &self.height())
             .field("pruned_below", &self.pruned_below())
             .field("checkpoints", &self.checkpoints.len())
-            .field("peers", &self.engine.peer_count())
+            .field("peers", &self.cluster.peer_count())
             .finish()
     }
 }
 
 impl Ledger {
-    /// Creates a ledger committed sequentially by `cluster`.
-    pub fn new(cluster: PbftCluster, clock: SimClock) -> Self {
-        Self::with_engine(Engine::Sequential(cluster), clock)
-    }
-
-    /// Creates a ledger committed by a pipelined cluster: proposals
-    /// overlap up to the cluster's window.
-    pub fn new_pipelined(cluster: PipelinedCluster, clock: SimClock) -> Self {
-        Self::with_engine(Engine::Pipelined(Box::new(cluster)), clock)
-    }
-
-    /// Creates a ledger over an explicit engine.
-    pub fn with_engine(engine: Engine, clock: SimClock) -> Self {
+    /// Creates a ledger committed by `cluster`, on the cluster's clock.
+    /// Proposals overlap up to the cluster's window; `window = 1`
+    /// commits each block before [`Ledger::submit`] returns.
+    pub fn new(cluster: PipelinedCluster) -> Self {
         Ledger {
             blocks: Vec::new(),
             pruned_headers: Vec::new(),
             block_hashes: Vec::new(),
             policies: Vec::new(),
-            engine,
-            clock,
+            cluster,
             ckpt_config: None,
             checkpoints: Vec::new(),
             interval_roots: Vec::new(),
@@ -487,37 +410,15 @@ impl Ledger {
         &mut self.blocks
     }
 
-    /// The sequential consensus cluster (to inject faults in
-    /// tests/benches).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ledger runs the pipelined engine — use
-    /// [`Ledger::engine_mut`] there.
-    pub fn cluster_mut(&mut self) -> &mut PbftCluster {
-        match &mut self.engine {
-            Engine::Sequential(c) => c,
-            Engine::Pipelined(_) => {
-                // hc-lint: allow(panic-macro) documented contract for a test/bench accessor; misuse is a programming error
-                panic!("ledger runs the pipelined engine; use engine_mut()")
-            }
-        }
+    /// The consensus cluster committing this chain.
+    pub fn cluster(&self) -> &PipelinedCluster {
+        &self.cluster
     }
 
-    /// The consensus engine.
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
-    }
-
-    /// The consensus engine (shared view).
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// Commits every in-flight consensus instance (pipelined engine);
-    /// returns how many were drained.
-    pub fn flush_consensus(&mut self) -> usize {
-        self.engine.drain()
+    /// The consensus cluster, to inject faults, attach telemetry, or
+    /// drain in-flight instances.
+    pub fn cluster_mut(&mut self) -> &mut PipelinedCluster {
+        &mut self.cluster
     }
 
     fn validate_batch(
@@ -583,7 +484,7 @@ impl Ledger {
                 end_height: end as u64,
                 interval_root,
                 state_root: merkle::node_hash(&prev_state, &interval_root),
-                sealed_at: self.clock.now(),
+                sealed_at: self.cluster.clock().now(),
             });
             if let Some(inst) = &self.instruments {
                 inst.sealed.inc();
@@ -732,14 +633,11 @@ impl Ledger {
     ///
     /// # Errors
     ///
-    /// Fails on policy violations, consensus configuration errors, or a
-    /// failed quorum; nothing is appended in those cases.
+    /// Fails on policy violations or when too many peers are unreachable
+    /// for a quorum; nothing is appended in those cases.
     pub fn submit(&mut self, transactions: Vec<Transaction>) -> Result<ConsensusOutcome, LedgerError> {
         Self::validate_batch(&self.policies, &transactions)?;
-        let outcome = self.engine.propose()?;
-        if !outcome.committed {
-            return Err(LedgerError::NoQuorum);
-        }
+        let outcome = self.cluster.propose()?;
         let merkle_root = Block::transactions_root(&transactions);
         self.append_block(merkle_root, transactions);
         Ok(outcome)
@@ -754,8 +652,8 @@ impl Ledger {
     ///
     /// Batches already validated when a later batch fails are committed;
     /// the error reports the first failure and the outcome of everything
-    /// before it is preserved on-chain. With the pipelined engine the
-    /// pipeline is drained before returning.
+    /// before it is preserved on-chain. The consensus pipeline is drained
+    /// before returning.
     ///
     /// # Errors
     ///
@@ -772,7 +670,7 @@ impl Ledger {
         };
         // Split borrows: workers read `policies` (taken out of self so
         // `prepare` can be shared), the commit closure mutates chain +
-        // engine state, and the pull/commit closures coordinate the
+        // cluster state, and the pull/commit closures coordinate the
         // first-failure stop through single-thread cells (both run on
         // the coordinator thread; only `prepare` runs on workers).
         let policies = std::mem::take(&mut self.policies);
@@ -798,10 +696,7 @@ impl Ledger {
                         return;
                     }
                     let result = prepared.and_then(|root| {
-                        let outcome = this.engine.propose()?;
-                        if !outcome.committed {
-                            return Err(LedgerError::NoQuorum);
-                        }
+                        this.cluster.propose()?;
                         committed.transactions += batch.len() as u64;
                         committed.blocks += 1;
                         this.append_block(root, batch);
@@ -816,7 +711,7 @@ impl Ledger {
             );
         }
         self.policies = policies;
-        self.engine.drain();
+        self.cluster.drain();
         match first_error.into_inner() {
             Some(e) => Err(e),
             None => Ok(committed),
@@ -883,44 +778,25 @@ impl Ledger {
             .filter(|t| t.channel == channel)
             .collect()
     }
-
-    /// Transactions whose payload contains `needle` (simple audit search).
-    pub fn search_payloads(&self, needle: &[u8]) -> Vec<&Transaction> {
-        self.blocks
-            .iter()
-            .flat_map(|b| b.transactions.iter())
-            .filter(|t| t.payload.windows(needle.len().max(1)).any(|w| w == needle))
-            .collect()
-    }
-
-    /// Per-channel transaction counts.
-    pub fn channel_summary(&self) -> HashMap<String, usize> {
-        let mut summary = HashMap::new();
-        for tx in self.blocks.iter().flat_map(|b| b.transactions.iter()) {
-            *summary.entry(tx.channel.clone()).or_insert(0) += 1;
-        }
-        summary
-    }
-
-    /// Timestamp of the last committed block.
-    pub fn last_commit_time(&self) -> Option<SimInstant> {
-        self.blocks.last().map(|b| b.timestamp)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::ProvenancePolicy;
-    use hc_common::clock::SimDuration;
+    use hc_common::clock::SimClock;
     use hc_common::id::TxId;
 
-    fn ledger() -> Ledger {
-        let clock = SimClock::new();
-        let cluster = PbftCluster::new(4, SimDuration::from_millis(1), clock.clone()).unwrap();
-        let mut ledger = Ledger::new(cluster, clock);
+    fn pipelined_ledger(window: usize) -> Ledger {
+        let cluster = PipelinedCluster::new(4, window, SimClock::new()).unwrap();
+        let mut ledger = Ledger::new(cluster);
         ledger.install_policy(Box::new(ProvenancePolicy));
         ledger
+    }
+
+    /// A ledger committed by the sequential protocol (`window = 1`).
+    fn ledger() -> Ledger {
+        pipelined_ledger(1)
     }
 
     fn tx(raw: u128, kind: &str, payload: &str) -> Transaction {
@@ -1003,26 +879,7 @@ mod tests {
         assert_eq!(l.height(), 0);
     }
 
-    #[test]
-    fn search_and_summary() {
-        let mut l = ledger();
-        l.submit(vec![tx(1, "ingested", "record=abc")]).unwrap();
-        l.submit(vec![tx(2, "deleted", "record=xyz")]).unwrap();
-        assert_eq!(l.search_payloads(b"abc").len(), 1);
-        assert_eq!(l.channel_summary().get("provenance"), Some(&2));
-    }
-
-    use crate::consensus::PipelinedCluster;
     use hc_common::id::TxId as RawTxId;
-
-    fn pipelined_ledger(window: usize) -> Ledger {
-        let clock = SimClock::new();
-        let cluster =
-            PipelinedCluster::new(4, window, SimDuration::from_millis(1), clock.clone()).unwrap();
-        let mut ledger = Ledger::new_pipelined(cluster, clock);
-        ledger.install_policy(Box::new(ProvenancePolicy));
-        ledger
-    }
 
     fn batches(n: u128) -> Vec<Vec<Transaction>> {
         (0..n).map(|i| vec![tx(i + 1, "ingested", "record=1")]).collect()

@@ -19,7 +19,6 @@
 //!   zero-knowledge machinery itself is out of scope and documented as a
 //!   substitution in DESIGN.md.
 
-use hc_common::clock::SimClock;
 use hc_common::id::TxId;
 use hc_crypto::hmac;
 use hc_crypto::ots::{self, MerklePublicKey, MerkleSignature, MerkleSigner};
@@ -212,7 +211,6 @@ struct IdentityEvent {
 /// The on-chain DID registry (the identity blockchain network).
 pub struct DidRegistry {
     ledger: Ledger,
-    clock: SimClock,
     next_tx: u128,
 }
 
@@ -226,13 +224,10 @@ impl std::fmt::Debug for DidRegistry {
 
 impl DidRegistry {
     /// Wraps a ledger as the identity network (installs the policy).
-    pub fn new(mut ledger: Ledger, clock: SimClock) -> Self {
+    /// Lifecycle events are stamped on the ledger's consensus clock.
+    pub fn new(mut ledger: Ledger) -> Self {
         ledger.install_policy(Box::new(IdentityPolicy));
-        DidRegistry {
-            ledger,
-            clock,
-            next_tx: 0,
-        }
+        DidRegistry { ledger, next_tx: 0 }
     }
 
     fn submit(&mut self, kind: &str, event: &IdentityEvent) -> Result<(), DidError> {
@@ -244,7 +239,7 @@ impl DidRegistry {
             payload: serde_json::to_vec(event)
                 .map_err(|e| DidError::Ledger(LedgerError::Encoding(e.to_string())))?,
             submitter: event.did.to_string(),
-            timestamp: self.clock.now(),
+            timestamp: self.ledger.cluster().clock().now(),
         };
         self.ledger.submit(vec![tx])?;
         Ok(())
@@ -472,14 +467,12 @@ impl IdentityMixer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::consensus::PbftCluster;
-    use hc_common::clock::SimDuration;
+    use crate::consensus::PipelinedCluster;
+    use hc_common::clock::SimClock;
 
     fn registry() -> DidRegistry {
-        let clock = SimClock::new();
-        let cluster = PbftCluster::new(4, SimDuration::from_millis(1), clock.clone()).unwrap();
-        let ledger = Ledger::new(cluster, clock.clone());
-        DidRegistry::new(ledger, clock)
+        let cluster = PipelinedCluster::new(4, 1, SimClock::new()).unwrap();
+        DidRegistry::new(Ledger::new(cluster))
     }
 
     #[test]

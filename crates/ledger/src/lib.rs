@@ -12,12 +12,14 @@
 //!   plus the prunable [`block::BlockHeader`] form.
 //! * [`consensus`] — a PBFT-style three-phase consensus simulation over a
 //!   fixed peer set with crash-fault injection and view changes; it
-//!   accounts messages and simulated latency for E4. Two engines exist:
-//!   the sequential [`consensus::PbftCluster`] and the windowed
-//!   [`consensus::PipelinedCluster`], whose in-order commitment runs
-//!   through the model-checked [`consensus::SlotWindow`].
+//!   accounts messages and simulated latency for E4. One engine,
+//!   [`consensus::PipelinedCluster`], commits every ledger: `window = 1`
+//!   is the sequential protocol (each block commits inside its own
+//!   proposal), wider windows overlap consecutive instances, and
+//!   in-order commitment runs through the model-checked
+//!   [`consensus::SlotWindow`].
 //! * [`chain`] — the ledger: policy-validated append, full-chain
-//!   verification, channel-scoped queries, parallel block validation
+//!   verification, channel-scoped reads, parallel block validation
 //!   ([`chain::Ledger::submit_stream`]), and Merkle checkpointing with
 //!   body pruning and compact audit proofs ([`chain::EventProof`],
 //!   [`chain::BlockProof`], [`chain::PrefixProof`]).

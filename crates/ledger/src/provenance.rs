@@ -13,7 +13,7 @@ use hc_telemetry::{Counter, Gauge, Histogram, Registry};
 use serde::{Deserialize, Serialize};
 
 use crate::block::Transaction;
-use crate::chain::{Ledger, LedgerError, StreamOutcome};
+use crate::chain::{Ledger, LedgerError};
 use crate::consensus::ConsensusOutcome;
 
 /// What happened to a record.
@@ -108,7 +108,6 @@ struct ProvenanceInstruments {
 /// The provenance network: batches events into consensus-committed blocks.
 pub struct ProvenanceNetwork {
     ledger: Ledger,
-    clock: SimClock,
     pending: Vec<Transaction>,
     batch_size: usize,
     next_tx: u128,
@@ -125,16 +124,16 @@ impl std::fmt::Debug for ProvenanceNetwork {
 }
 
 impl ProvenanceNetwork {
-    /// Wraps a ledger with batching (`batch_size` ≥ 1).
+    /// Wraps a ledger with batching (`batch_size` ≥ 1). Events are
+    /// stamped on the ledger's consensus clock.
     ///
     /// # Panics
     ///
     /// Panics if `batch_size` is zero.
-    pub fn new(ledger: Ledger, clock: SimClock, batch_size: usize) -> Self {
+    pub fn new(ledger: Ledger, batch_size: usize) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
         ProvenanceNetwork {
             ledger,
-            clock,
             pending: Vec::new(),
             batch_size,
             next_tx: 0,
@@ -145,9 +144,10 @@ impl ProvenanceNetwork {
     /// Mirrors provenance-plane metrics into `registry` under
     /// `ledger.provenance.*` (events recorded, blocks anchored, flush
     /// failures, pending-batch depth, and a simulated anchor-latency
-    /// histogram). Also instruments the underlying consensus cluster.
+    /// histogram). Also instruments the underlying consensus cluster
+    /// (`ledger.pipeline.*`) and checkpoints (`ledger.ckpt.*`).
     pub fn instrument(&mut self, registry: &Registry) {
-        self.ledger.engine_mut().instrument(registry);
+        self.ledger.cluster_mut().instrument(registry);
         self.ledger.instrument(registry);
         self.instruments = Some(ProvenanceInstruments {
             events: registry.counter("ledger.provenance.events"),
@@ -166,7 +166,7 @@ impl ProvenanceNetwork {
     pub fn record(&mut self, event: &ProvenanceEvent) -> Result<Option<ConsensusOutcome>, LedgerError> {
         self.next_tx += 1;
         let tx = event
-            .to_transaction(TxId::from_raw(self.next_tx), &self.clock)
+            .to_transaction(TxId::from_raw(self.next_tx), self.ledger.cluster().clock())
             .map_err(|e| LedgerError::Encoding(e.to_string()))?;
         self.pending.push(tx);
         if let Some(inst) = &self.instruments {
@@ -204,68 +204,6 @@ impl ProvenanceNetwork {
         outcome
     }
 
-    /// Records a whole event stream at once: events are packed into
-    /// `batch_size` batches and committed through
-    /// [`Ledger::submit_stream`] — block validation fans out across
-    /// `workers` threads and, with the pipelined engine, consensus
-    /// instances overlap up to the window. Events are converted to
-    /// transactions up front (one clock read per event, before any
-    /// commit advances the clock), so the committed chain is
-    /// byte-identical across engines and worker counts for the same
-    /// event stream.
-    ///
-    /// Any events already pending from [`ProvenanceNetwork::record`] are
-    /// committed first, at the head of the stream.
-    ///
-    /// # Errors
-    ///
-    /// The first [`LedgerError`] hit; batches before it stay committed.
-    pub fn record_stream(
-        &mut self,
-        events: &[ProvenanceEvent],
-        workers: usize,
-    ) -> Result<StreamOutcome, LedgerError> {
-        let mut batches: Vec<Vec<Transaction>> = Vec::new();
-        let mut current = std::mem::take(&mut self.pending);
-        for event in events {
-            self.next_tx += 1;
-            let tx = event
-                .to_transaction(TxId::from_raw(self.next_tx), &self.clock)
-                .map_err(|e| LedgerError::Encoding(e.to_string()))?;
-            current.push(tx);
-            if current.len() >= self.batch_size {
-                batches.push(std::mem::take(&mut current));
-            }
-        }
-        if !current.is_empty() {
-            batches.push(current);
-        }
-        let blocks = batches.len() as u64;
-        let outcome = self.ledger.submit_stream(batches, workers);
-        if let Some(inst) = &self.instruments {
-            inst.pending.set(0);
-            match &outcome {
-                Ok(o) => {
-                    inst.events.add(o.transactions);
-                    inst.blocks.add(o.blocks);
-                }
-                Err(_) => inst.flush_failures.inc(),
-            }
-        }
-        debug_assert!(outcome.is_err() || outcome.as_ref().is_ok_and(|o| o.blocks == blocks));
-        outcome
-    }
-
-    /// The committed history of one record, oldest first.
-    pub fn history(&self, record: ReferenceId) -> Vec<ProvenanceEvent> {
-        self.ledger
-            .channel_transactions("provenance")
-            .iter()
-            .filter_map(|tx| ProvenanceEvent::from_transaction(tx).ok())
-            .filter(|e| e.record == record)
-            .collect()
-    }
-
     /// The underlying ledger (read).
     pub fn ledger(&self) -> &Ledger {
         &self.ledger
@@ -285,17 +223,16 @@ impl ProvenanceNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::consensus::PbftCluster;
+    use crate::audit::AuditorView;
+    use crate::consensus::PipelinedCluster;
     use crate::policy::ProvenancePolicy;
-    use hc_common::clock::SimDuration;
     use hc_crypto::sha256;
 
     fn network(batch: usize) -> ProvenanceNetwork {
-        let clock = SimClock::new();
-        let cluster = PbftCluster::new(4, SimDuration::from_millis(1), clock.clone()).unwrap();
-        let mut ledger = Ledger::new(cluster, clock.clone());
+        let cluster = PipelinedCluster::new(4, 1, SimClock::new()).unwrap();
+        let mut ledger = Ledger::new(cluster);
         ledger.install_policy(Box::new(ProvenancePolicy));
-        ProvenanceNetwork::new(ledger, clock, batch)
+        ProvenanceNetwork::new(ledger, batch)
     }
 
     fn event(record: u128, action: ProvenanceAction) -> ProvenanceEvent {
@@ -314,7 +251,7 @@ mod tests {
         assert!(net.record(&event(1, ProvenanceAction::Ingested)).unwrap().is_none());
         assert!(net.record(&event(1, ProvenanceAction::Accessed)).unwrap().is_none());
         let outcome = net.record(&event(1, ProvenanceAction::Exported)).unwrap();
-        assert!(outcome.unwrap().committed);
+        assert!(outcome.is_some());
         assert_eq!(net.ledger().height(), 1);
         assert_eq!(net.pending_count(), 0);
     }
@@ -332,11 +269,12 @@ mod tests {
         ] {
             net.record(&event(r, action)).unwrap();
         }
-        let history = net.history(ReferenceId::from_raw(r));
+        let view = AuditorView::new(net.ledger());
+        let history = view.record_history(ReferenceId::from_raw(r));
         assert_eq!(history.len(), 5);
         assert_eq!(history[0].action, ProvenanceAction::ConsentGranted);
         assert_eq!(history[4].action, ProvenanceAction::Deleted);
-        assert!(net.history(ReferenceId::from_raw(777)).is_empty());
+        assert!(view.record_history(ReferenceId::from_raw(777)).is_empty());
     }
 
     #[test]
@@ -360,7 +298,7 @@ mod tests {
         net.ledger_mut().cluster_mut().set_faulty(2, false);
         net.ledger_mut().cluster_mut().set_faulty(3, false);
         let outcome = net.record(&event(9, ProvenanceAction::Ingested)).unwrap();
-        assert!(outcome.unwrap().committed);
+        assert!(outcome.is_some());
         assert_eq!(net.ledger().height(), 1);
     }
 
@@ -374,32 +312,8 @@ mod tests {
     fn manual_flush_commits_partial_batch() {
         let mut net = network(100);
         net.record(&event(1, ProvenanceAction::Ingested)).unwrap();
-        let outcome = net.flush().unwrap();
-        assert!(outcome.committed);
+        net.flush().unwrap();
         assert_eq!(net.ledger().height(), 1);
-    }
-
-    #[test]
-    fn record_stream_is_engine_independent() {
-        use crate::consensus::PipelinedCluster;
-
-        let events: Vec<ProvenanceEvent> = (0..25)
-            .map(|i| event(i, ProvenanceAction::Ingested))
-            .collect();
-        let mut serial = network(4); // sequential engine
-        let base = serial.record_stream(&events, 1).unwrap();
-        assert_eq!(base.blocks, 7); // ceil(25 / 4)
-        assert_eq!(base.transactions, 25);
-
-        let clock = SimClock::new();
-        let cluster =
-            PipelinedCluster::new(4, 8, SimDuration::from_millis(1), clock.clone()).unwrap();
-        let mut ledger = Ledger::new_pipelined(cluster, clock.clone());
-        ledger.install_policy(Box::new(crate::policy::ProvenancePolicy));
-        let mut streamed = ProvenanceNetwork::new(ledger, clock, 4);
-        let out = streamed.record_stream(&events, 4).unwrap();
-        assert_eq!(out, base);
-        assert_eq!(streamed.ledger().blocks(), serial.ledger().blocks());
     }
 
     #[test]

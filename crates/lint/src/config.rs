@@ -27,11 +27,6 @@ pub struct LintConfig {
     pub unordered_scoped_crates: Vec<String>,
     /// Crate names exempt from panic-path rules (benchmark harnesses).
     pub panic_exempt_crates: Vec<String>,
-    /// When true, `phi-fmt-leak` reverts to the pre-dataflow behaviour:
-    /// any PHI-*named* format argument fires, regardless of what the taint
-    /// engine proved about it. Default (false) = taint-aware mode, where a
-    /// finding is suppressed when dataflow shows the value was sanitised.
-    pub lexical_phi: bool,
 }
 
 impl LintConfig {
@@ -73,7 +68,6 @@ impl LintConfig {
             wallclock_scoped_crates: all_sim_crates.iter().map(|s| s.to_string()).collect(),
             unordered_scoped_crates: vec!["cloudsim".to_string()],
             panic_exempt_crates: vec!["bench".to_string()],
-            lexical_phi: false,
         }
     }
 

@@ -72,11 +72,10 @@ pub const RULES: &[Rule] = &[
         severity: Severity::Error,
         description: "PHI-typed value appears in a println!/format!/log macro argument",
         help: "A value the taint engine tracks back to a PHI source is interpolated into a \
-               format/log macro — logs are exported, retained, and unencrypted. In taint \
-               mode (the default) a PHI-*named* identifier only fires when dataflow confirms \
-               it still carries PHI (or analysis was inconclusive); bindings produced by \
-               `privacy::`/`crypto::` sanitisers are proven clean and skipped. \
-               `--lexical-phi` restores the name-only behaviour for comparison. \
+               format/log macro — logs are exported, retained, and unencrypted. A \
+               PHI-*named* identifier only fires when dataflow confirms it still carries PHI \
+               (or analysis was inconclusive); bindings produced by `privacy::`/`crypto::` \
+               sanitisers are proven clean and skipped. \
                Fix: log the pseudonymised form or an aggregate.",
     },
     Rule {

@@ -3,7 +3,7 @@
 //! ```text
 //! hc-lint [--root DIR] [--format human|json] [--baseline FILE]
 //!         [--write-baseline] [--prune-baseline] [--fail-stale]
-//!         [--lexical-phi] [--taint-report FILE] [--cross-check FILE]
+//!         [--taint-report FILE] [--cross-check FILE]
 //!         [--list-rules] [--explain RULE-ID]
 //! ```
 //!
@@ -32,7 +32,6 @@ struct Args {
     write_baseline: bool,
     prune_baseline: bool,
     fail_stale: bool,
-    lexical_phi: bool,
     taint_report: Option<PathBuf>,
     cross_check: Option<PathBuf>,
     list_rules: bool,
@@ -48,8 +47,8 @@ enum Format {
 fn usage() -> &'static str {
     "usage: hc-lint [--root DIR] [--format human|json] [--baseline FILE]\n\
      \x20              [--write-baseline] [--prune-baseline] [--fail-stale]\n\
-     \x20              [--lexical-phi] [--taint-report FILE]\n\
-     \x20              [--cross-check FILE] [--list-rules] [--explain RULE-ID]\n\
+     \x20              [--taint-report FILE] [--cross-check FILE]\n\
+     \x20              [--list-rules] [--explain RULE-ID]\n\
      \n\
      Runs the workspace static-analysis rules (PHI dataflow/taint,\n\
      concurrency, panic-path, determinism, hygiene) over crates/*/src.\n\
@@ -58,7 +57,6 @@ fn usage() -> &'static str {
      --prune-baseline  rewrite --baseline FILE dropping entries no\n\
      \x20                 longer matched (ratchet down), then diff\n\
      --fail-stale      exit 1 when the baseline carries unmatched debt\n\
-     --lexical-phi     name-only phi-fmt-leak (disable taint gating)\n\
      --taint-report    write the dataflow summary artifact as JSON\n\
      --cross-check     merge an `hc-mc cross-check` verdicts artifact:\n\
      \x20                 every lock-order-inversion finding is reported\n\
@@ -75,7 +73,6 @@ fn parse_args() -> Result<Args, String> {
         write_baseline: false,
         prune_baseline: false,
         fail_stale: false,
-        lexical_phi: false,
         taint_report: None,
         cross_check: None,
         list_rules: false,
@@ -100,7 +97,6 @@ fn parse_args() -> Result<Args, String> {
             "--write-baseline" => args.write_baseline = true,
             "--prune-baseline" => args.prune_baseline = true,
             "--fail-stale" => args.fail_stale = true,
-            "--lexical-phi" => args.lexical_phi = true,
             "--taint-report" => {
                 args.taint_report =
                     Some(PathBuf::from(it.next().ok_or("--taint-report needs a value")?));
@@ -175,8 +171,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let mut cfg = LintConfig::workspace_default();
-    cfg.lexical_phi = args.lexical_phi;
+    let cfg = LintConfig::workspace_default();
     let report = analyze_workspace(&args.root, &cfg);
 
     if let Some(path) = &args.taint_report {

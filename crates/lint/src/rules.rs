@@ -213,18 +213,18 @@ fn phi_rules(
     // lives. (De-identification code that must log a PHI value uses an
     // inline allow.)
     //
-    // In taint mode (the default) a PHI-*named* argument that the dataflow
-    // engine conclusively proved clean — e.g. rebound from a
-    // `privacy::deidentify(..)` result — is suppressed. Taint evidence,
-    // inconclusive analysis, or no dataflow coverage (macro outside any
-    // parsed fn body) all keep the lexical finding: the engine may only
-    // remove findings it can disprove, never hide ones it cannot see.
+    // A PHI-*named* argument that the dataflow engine conclusively
+    // proved clean — e.g. rebound from a `privacy::deidentify(..)`
+    // result — is suppressed. Taint evidence, inconclusive analysis, or
+    // no dataflow coverage (macro outside any parsed fn body) all keep
+    // the lexical finding: the engine may only remove findings it can
+    // disprove, never hide ones it cannot see.
     for m in &facts.fmt_macros {
         for (ident, line, col) in &m.arg_idents {
             if let Some(ty) = cfg.matches_phi_ident(ident) {
                 let key = (*line, ident.clone());
                 let proven_clean = td.fmt_clean.contains(&key) && !td.fmt_tainted.contains(&key);
-                if proven_clean && !cfg.lexical_phi {
+                if proven_clean {
                     continue;
                 }
                 push(

@@ -260,7 +260,7 @@ mod tests {
     fn sample() -> TelemetrySnapshot {
         let reg = Registry::new();
         reg.counter("cache.l0.hits").add(42);
-        reg.counter("ledger.consensus.rounds").add(7);
+        reg.counter("ledger.pipeline.proposed").add(7);
         reg.gauge("ingest.dlq.depth").set(3);
         reg.gauge("resilience.breaker.state").set(-1);
         for v in [0u64, 1, 17, 900, 900, 4096, u64::MAX] {

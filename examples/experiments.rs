@@ -35,7 +35,7 @@ use hc_kb::emr::{EmrCohort, EmrConfig};
 use hc_ledger::audit::CentralAuditDb;
 use hc_ledger::block::Transaction;
 use hc_ledger::chain::{CheckpointConfig, Ledger};
-use hc_ledger::consensus::{PbftCluster, PipelinedCluster};
+use hc_ledger::consensus::PipelinedCluster;
 use hc_ledger::policy::ProvenancePolicy;
 use hc_ledger::provenance::{ProvenanceAction, ProvenanceEvent, ProvenanceNetwork};
 use hc_privacy::kanon::{mondrian, QiRecord};
@@ -187,11 +187,10 @@ fn e4() {
     for peers in [4usize, 7, 10, 13] {
         for batch in [1usize, 16, 64] {
             let clock = SimClock::new();
-            let cluster =
-                PbftCluster::new(peers, SimDuration::from_millis(1), clock.clone()).unwrap();
-            let mut ledger = Ledger::new(cluster, clock.clone());
+            let cluster = PipelinedCluster::new(peers, 1, clock.clone()).unwrap();
+            let mut ledger = Ledger::new(cluster);
             ledger.install_policy(Box::new(ProvenancePolicy));
-            let mut net = ProvenanceNetwork::new(ledger, clock.clone(), batch);
+            let mut net = ProvenanceNetwork::new(ledger, batch);
             let events = 512usize;
             let before = clock.now();
             for i in 0..events {
@@ -206,14 +205,7 @@ fn e4() {
             }
             let _ = net.flush();
             let sim_ms = clock.now().duration_since(before).as_millis() as f64 / events as f64;
-            let msgs = net.ledger().blocks().len() as f64; // blocks committed
-            let total_msgs = {
-                // recompute messages per event from cluster counters
-                let mut c2 =
-                    PbftCluster::new(peers, SimDuration::from_millis(1), SimClock::new()).unwrap();
-                let per_commit = c2.propose().unwrap().messages as f64;
-                per_commit * msgs / events as f64
-            };
+            let total_msgs = net.ledger().cluster().total_messages() as f64 / events as f64;
             println!(
                 "{:>3} peers          {batch:>10} {total_msgs:>12.1} {sim_ms:>14.3}",
                 peers
@@ -237,7 +229,7 @@ fn e4() {
     println!("central DB (no consensus)  {:>10} {:>12} {sim_ms:>14.3}", "-", "0");
     println!("(central DB is faster but undetectably rewritable — see provenance_audit example)");
 
-    // Pipelined engine vs the sequential baseline: same chain, same
+    // Window 16 vs the sequential baseline (window 1): same chain, same
     // per-block message bill, window-fold higher simulated throughput.
     println!(
         "\n{:<8} {:>16} {:>16} {:>9}",
@@ -251,22 +243,23 @@ fn e4() {
             .collect();
 
         let seq_clock = SimClock::new();
-        let cluster =
-            PbftCluster::new(peers, SimDuration::from_millis(1), seq_clock.clone()).unwrap();
-        let mut seq = Ledger::new(cluster, seq_clock.clone());
+        let cluster = PipelinedCluster::new(peers, 1, seq_clock.clone()).unwrap();
+        let mut seq = Ledger::new(cluster);
         seq.install_policy(Box::new(ProvenancePolicy));
         for batch in batches.clone() {
             seq.submit(batch).unwrap();
         }
 
         let pipe_clock = SimClock::new();
-        let cluster =
-            PipelinedCluster::new(peers, 16, SimDuration::from_millis(1), pipe_clock.clone())
-                .unwrap();
-        let mut pipe = Ledger::new_pipelined(cluster, pipe_clock.clone());
+        let cluster = PipelinedCluster::new(peers, 16, pipe_clock.clone()).unwrap();
+        let mut pipe = Ledger::new(cluster);
         pipe.install_policy(Box::new(ProvenancePolicy));
         pipe.submit_stream(batches, 4).unwrap();
-        assert_eq!(pipe.blocks(), seq.blocks(), "engines must commit identical chains");
+        assert_eq!(
+            pipe.blocks(),
+            seq.blocks(),
+            "windows must commit identical chains"
+        );
 
         let events = (BLOCKS * BATCH) as f64;
         let seq_rate = events / seq_clock.now().as_nanos() as f64 * 1e9;
@@ -302,10 +295,8 @@ fn e23() {
     const BLOCKS_PER_WAVE: u128 = 32;
     const BATCH: u128 = 8;
 
-    let clock = SimClock::new();
-    let cluster =
-        PipelinedCluster::new(4, 16, SimDuration::from_millis(1), clock.clone()).unwrap();
-    let mut ledger = Ledger::new_pipelined(cluster, clock);
+    let cluster = PipelinedCluster::new(4, 16, SimClock::new()).unwrap();
+    let mut ledger = Ledger::new(cluster);
     ledger.install_policy(Box::new(ProvenancePolicy));
     ledger.enable_checkpoints(CheckpointConfig::every(INTERVAL));
 

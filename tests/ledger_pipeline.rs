@@ -1,14 +1,15 @@
-//! Differential tests: the pipelined consensus engine and the parallel
+//! Differential tests: any consensus window and the parallel
 //! block-validation pool must commit a chain byte-identical to the
-//! strictly sequential baseline for any batch schedule, peer count,
-//! window size, and worker count — while beating it on simulated
-//! throughput by at least the ISSUE's 10× floor.
+//! strictly sequential baseline (`window = 1`) for any batch schedule,
+//! peer count, window size, and worker count — while a wide window beats
+//! it on simulated throughput by at least a 10× floor. The baseline
+//! itself is pinned to the closed-form PBFT clock and message bill.
 
-use hc_common::clock::{SimClock, SimDuration, SimInstant};
+use hc_common::clock::{SimClock, SimInstant};
 use hc_common::id::TxId;
 use hc_ledger::block::Transaction;
 use hc_ledger::chain::{ChainStatus, Ledger};
-use hc_ledger::consensus::{PbftCluster, PipelinedCluster};
+use hc_ledger::consensus::{PipelinedCluster, LINK_LATENCY};
 use hc_ledger::policy::ProvenancePolicy;
 use proptest::prelude::*;
 
@@ -28,21 +29,17 @@ fn tx(i: u128, kind_idx: usize, payload: &[u8]) -> Transaction {
     }
 }
 
-fn sequential_ledger(peers: usize) -> (Ledger, SimClock) {
+fn pipelined_ledger(peers: usize, window: usize) -> (Ledger, SimClock) {
     let clock = SimClock::new();
-    let cluster = PbftCluster::new(peers, SimDuration::from_millis(1), clock.clone()).unwrap();
-    let mut ledger = Ledger::new(cluster, clock.clone());
+    let cluster = PipelinedCluster::new(peers, window, clock.clone()).unwrap();
+    let mut ledger = Ledger::new(cluster);
     ledger.install_policy(Box::new(ProvenancePolicy));
     (ledger, clock)
 }
 
-fn pipelined_ledger(peers: usize, window: usize) -> (Ledger, SimClock) {
-    let clock = SimClock::new();
-    let cluster =
-        PipelinedCluster::new(peers, window, SimDuration::from_millis(1), clock.clone()).unwrap();
-    let mut ledger = Ledger::new_pipelined(cluster, clock.clone());
-    ledger.install_policy(Box::new(ProvenancePolicy));
-    (ledger, clock)
+/// The sequential protocol: one consensus instance at a time.
+fn sequential_ledger(peers: usize) -> (Ledger, SimClock) {
+    pipelined_ledger(peers, 1)
 }
 
 /// Materializes a proptest-drawn batch schedule into transaction batches.
@@ -97,12 +94,12 @@ proptest! {
         prop_assert_eq!(pipe.verify_chain(), ChainStatus::Valid);
         // Pipelining must not change the message bill either.
         prop_assert_eq!(
-            pipe.engine().total_messages(),
-            seq.engine().total_messages()
+            pipe.cluster().total_messages(),
+            seq.cluster().total_messages()
         );
     }
 
-    /// submit_stream over the SEQUENTIAL engine is also schedule-stable:
+    /// submit_stream over the sequential window is also schedule-stable:
     /// worker count never changes the chain.
     #[test]
     fn worker_count_never_changes_the_chain(
@@ -149,20 +146,20 @@ proptest! {
             if i == fault_at {
                 // Crash the current primary: the next proposal drains
                 // the pipeline and rotates the view.
-                pipe.engine_mut().set_faulty(0, true);
+                pipe.cluster_mut().set_faulty(0, true);
             }
             pipe.submit(batch).unwrap();
         }
-        pipe.flush_consensus();
+        pipe.cluster_mut().drain();
 
         prop_assert_eq!(pipe.blocks(), seq.blocks(), "view change corrupted the chain");
         prop_assert_eq!(pipe.verify_chain(), ChainStatus::Valid);
     }
 }
 
-/// The tentpole throughput floor, asserted hard (ISSUE acceptance):
-/// pipelined commits must sustain ≥ 10× the sequential events/s at equal
-/// peer count, measured on the simulated clock.
+/// The throughput floor, asserted hard: window-16 commits must sustain
+/// ≥ 10× the sequential events/s at equal peer count, measured on the
+/// simulated clock.
 #[test]
 fn pipelined_throughput_is_at_least_ten_x_sequential() {
     const BLOCKS: usize = 256;
@@ -193,18 +190,50 @@ fn pipelined_throughput_is_at_least_ten_x_sequential() {
     }
 }
 
-/// Window 1 degrades gracefully to sequential-equivalent timing: same
-/// chain, same total simulated latency.
+/// Window 1 is the sequential PBFT protocol, checked against its closed
+/// form rather than against another engine. With `v` leading faulty
+/// primaries and `h = n − v` honest peers, the k-th `submit` returns at
+/// `k·3L + v·10L` (three phases per block, one view-change timeout per
+/// faulty primary, all paid by the first block), and the message bill
+/// is `(n−1) + (h−1)(n−1) + h(n−1)` per block plus `h(n−1)` per view
+/// change.
 #[test]
 fn window_one_matches_sequential_timing() {
-    let batches: Vec<Vec<Transaction>> =
-        (0..32u128).map(|i| vec![tx(i + 1, 0, b"x")]).collect();
-    let (mut seq, seq_clock) = sequential_ledger(4);
-    for batch in batches.clone() {
-        seq.submit(batch).unwrap();
+    const BLOCKS: u64 = 8;
+    let l = LINK_LATENCY.as_nanos();
+    for n in [4usize, 7, 10, 13] {
+        let f = (n - 1) / 3;
+        for v in 0..=f {
+            let (mut ledger, clock) = sequential_ledger(n);
+            for p in 0..v {
+                ledger.cluster_mut().set_faulty(p, true);
+            }
+            let (n64, h) = (n as u64, (n - v) as u64);
+            let per_block = (n64 - 1) + (h - 1) * (n64 - 1) + h * (n64 - 1);
+            let view_change_bill = v as u64 * h * (n64 - 1);
+            for k in 1..=BLOCKS {
+                let out = ledger.submit(vec![tx(k as u128, 0, b"x")]).unwrap();
+                let view_changes = if k == 1 { v as u64 } else { 0 };
+                assert_eq!(
+                    u64::from(out.view_changes),
+                    view_changes,
+                    "n={n} v={v} k={k}"
+                );
+                assert_eq!(
+                    clock.now().as_nanos(),
+                    k * 3 * l + v as u64 * 10 * l,
+                    "n={n} v={v}: clock after submit {k}"
+                );
+                assert_eq!(
+                    ledger.cluster().total_messages(),
+                    k * per_block + view_change_bill,
+                    "n={n} v={v}: messages after submit {k}"
+                );
+                assert_eq!(ledger.cluster().committed_blocks(), k);
+                assert_eq!(ledger.cluster().in_flight(), 0);
+            }
+            assert_eq!(ledger.cluster().primary(), v);
+            assert_eq!(ledger.verify_chain(), ChainStatus::Valid);
+        }
     }
-    let (mut pipe, pipe_clock) = pipelined_ledger(4, 1);
-    pipe.submit_stream(batches, 2).unwrap();
-    assert_eq!(pipe.blocks(), seq.blocks());
-    assert_eq!(pipe_clock.now(), seq_clock.now());
 }

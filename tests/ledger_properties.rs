@@ -1,17 +1,15 @@
 //! Property-based tests on the provenance ledger: any committed chain
 //! verifies; any single-bit tamper is detected; consensus tolerates
-//! exactly f faults; and a seeded fault soak drives the pipelined
-//! engine through injected crashes and partitions without divergence
-//! (`HC_SOAK_SEED` rotates the schedule; see CI).
+//! exactly f faults; and a seeded fault soak drives a multi-block
+//! consensus window through injected crashes and partitions without
+//! divergence (`HC_SOAK_SEED` rotates the schedule; see CI).
 
-use hc_common::clock::{SimClock, SimDuration, SimInstant};
+use hc_common::clock::{SimClock, SimInstant};
 use hc_common::fault::{FaultInjector, FaultKind, FaultSpec};
 use hc_common::id::TxId;
 use hc_ledger::block::Transaction;
 use hc_ledger::chain::{ChainStatus, Ledger};
-use hc_ledger::consensus::{
-    PbftCluster, PipelinedCluster, FAULT_PIPELINE_CRASH, FAULT_PIPELINE_PARTITION,
-};
+use hc_ledger::consensus::{PipelinedCluster, FAULT_PIPELINE_CRASH, FAULT_PIPELINE_PARTITION};
 use hc_ledger::policy::ProvenancePolicy;
 use proptest::prelude::*;
 
@@ -31,10 +29,10 @@ fn tx(i: u128, kind_idx: usize, payload: &[u8]) -> Transaction {
     }
 }
 
+/// A ledger committed by the sequential protocol (`window = 1`).
 fn ledger(peers: usize) -> Ledger {
-    let clock = SimClock::new();
-    let cluster = PbftCluster::new(peers, SimDuration::from_millis(1), clock.clone()).unwrap();
-    let mut ledger = Ledger::new(cluster, clock);
+    let cluster = PipelinedCluster::new(peers, 1, SimClock::new()).unwrap();
+    let mut ledger = Ledger::new(cluster);
     ledger.install_policy(Box::new(ProvenancePolicy));
     ledger
 }
@@ -88,9 +86,7 @@ proptest! {
         peers in 4usize..14,
         fault_mask in any::<u16>(),
     ) {
-        let clock = SimClock::new();
-        let mut cluster =
-            PbftCluster::new(peers, SimDuration::from_millis(1), clock).unwrap();
+        let mut cluster = PipelinedCluster::new(peers, 1, SimClock::new()).unwrap();
         let mut faulty = 0usize;
         for p in 0..peers {
             if fault_mask & (1 << p) != 0 {
@@ -100,11 +96,14 @@ proptest! {
         }
         let f = cluster.tolerated_faults();
         match cluster.propose() {
-            Ok(outcome) => {
+            Ok(_) => {
                 prop_assert!(faulty <= f);
-                prop_assert!(outcome.committed);
+                prop_assert_eq!(cluster.committed_blocks(), 1);
             }
-            Err(_) => prop_assert!(faulty > f),
+            Err(_) => {
+                prop_assert!(faulty > f);
+                prop_assert_eq!(cluster.committed_blocks(), 0);
+            }
         }
     }
 
@@ -113,15 +112,13 @@ proptest! {
         leading_faults in 0usize..4,
     ) {
         let peers = 13; // f = 4
-        let clock = SimClock::new();
-        let mut cluster =
-            PbftCluster::new(peers, SimDuration::from_millis(1), clock).unwrap();
+        let mut cluster = PipelinedCluster::new(peers, 1, SimClock::new()).unwrap();
         for p in 0..leading_faults {
             cluster.set_faulty(p, true);
         }
         let outcome = cluster.propose().unwrap();
         prop_assert_eq!(outcome.view_changes as usize, leading_faults);
-        prop_assert!(outcome.committed);
+        prop_assert_eq!(cluster.committed_blocks(), 1);
     }
 }
 
@@ -184,11 +181,10 @@ fn run_fault_soak(seed: u64) {
 
     // Pipelined ledger with the fault injector attached.
     let clock = SimClock::new();
-    let mut cluster =
-        PipelinedCluster::new(PEERS, window, SimDuration::from_millis(1), clock.clone()).unwrap();
-    let injector = FaultInjector::new(clock.clone(), seed);
+    let mut cluster = PipelinedCluster::new(PEERS, window, clock.clone()).unwrap();
+    let injector = FaultInjector::new(clock, seed);
     cluster.attach_faults(injector.clone());
-    let mut pipe = Ledger::new_pipelined(cluster, clock);
+    let mut pipe = Ledger::new(cluster);
     pipe.install_policy(Box::new(ProvenancePolicy));
 
     let mut scheduled = 0usize;
@@ -231,7 +227,7 @@ fn run_fault_soak(seed: u64) {
                     injector.heal(FAULT_PIPELINE_PARTITION);
                     partition_until = None;
                     for p in 0..PEERS {
-                        pipe.engine_mut().set_faulty(p, false);
+                        pipe.cluster_mut().set_faulty(p, false);
                     }
                     attempts += 1;
                     assert!(attempts <= 2, "seed {seed}: submit must succeed after healing");
@@ -242,11 +238,11 @@ fn run_fault_soak(seed: u64) {
         // accumulate past f between heals.
         if rng.next().is_multiple_of(8) {
             for p in 0..PEERS {
-                pipe.engine_mut().set_faulty(p, false);
+                pipe.cluster_mut().set_faulty(p, false);
             }
         }
     }
-    pipe.flush_consensus();
+    pipe.cluster_mut().drain();
 
     assert_eq!(
         pipe.blocks(),
