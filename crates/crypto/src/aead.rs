@@ -7,7 +7,7 @@
 //! including replaying a ciphertext under different metadata — is detected.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::chacha20::{self, Nonce};
 use crate::hmac;
@@ -50,7 +50,9 @@ impl std::fmt::Debug for SecretKey {
 }
 
 /// An encrypted, integrity-protected payload.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+///
+/// Serializes as one string: the lowercase hex of [`Sealed::to_wire`].
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Sealed {
     /// Cipher nonce (public).
     pub nonce: Nonce,
@@ -64,6 +66,50 @@ impl Sealed {
     /// Total wire size in bytes.
     pub fn wire_len(&self) -> usize {
         12 + self.ciphertext.len() + 32
+    }
+
+    /// Encodes the envelope as nonce ‖ tag ‖ ciphertext, [`wire_len`]
+    /// bytes.
+    ///
+    /// [`wire_len`]: Sealed::wire_len
+    pub fn to_wire(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.wire_len());
+        out.extend_from_slice(&self.nonce.0);
+        out.extend_from_slice(self.tag.as_bytes());
+        out.extend_from_slice(&self.ciphertext);
+        out
+    }
+
+    /// Decodes the [`to_wire`](Sealed::to_wire) layout. Returns `None`
+    /// when `wire` is shorter than the 44-byte nonce and tag; any longer
+    /// input decodes, and a damaged one fails [`open`] instead.
+    pub fn from_wire(wire: &[u8]) -> Option<Sealed> {
+        let (nonce, rest) = wire.split_first_chunk::<12>()?;
+        let (tag, ciphertext) = rest.split_first_chunk::<32>()?;
+        Some(Sealed {
+            nonce: Nonce(*nonce),
+            ciphertext: ciphertext.to_vec(),
+            tag: Digest(*tag),
+        })
+    }
+}
+
+impl Serialize for Sealed {
+    fn to_value(&self) -> Value {
+        Value::Str(hc_common::hex::encode(&self.to_wire()))
+    }
+}
+
+impl Deserialize for Sealed {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        let Value::Str(text) = value else {
+            return Err(DeError::msg(format!(
+                "expected sealed hex string, got {value:?}"
+            )));
+        };
+        let wire = hc_common::hex::decode(text).map_err(DeError::msg)?;
+        Sealed::from_wire(&wire)
+            .ok_or_else(|| DeError::msg("sealed envelope shorter than nonce and tag"))
     }
 }
 
@@ -79,13 +125,10 @@ impl std::fmt::Display for OpenError {
 
 impl std::error::Error for OpenError {}
 
-fn mac_input(nonce: &Nonce, aad: &[u8], ciphertext: &[u8]) -> Vec<u8> {
-    let mut input = Vec::with_capacity(12 + 8 + aad.len() + ciphertext.len());
-    input.extend_from_slice(&nonce.0);
-    input.extend_from_slice(&(aad.len() as u64).to_le_bytes());
-    input.extend_from_slice(aad);
-    input.extend_from_slice(ciphertext);
-    input
+/// The tag over nonce ‖ aad length ‖ aad ‖ ciphertext, hashed in place.
+fn mac(mac_key: &SecretKey, nonce: &Nonce, aad: &[u8], ciphertext: &[u8]) -> Digest {
+    let aad_len = (aad.len() as u64).to_le_bytes();
+    hmac::hmac_parts(mac_key.as_bytes(), &[&nonce.0, &aad_len, aad, ciphertext])
 }
 
 /// Seals `plaintext` under `key` with a deterministic per-key nonce counter
@@ -109,7 +152,7 @@ pub fn seal_with_nonce(key: &SecretKey, nonce: Nonce, plaintext: &[u8], aad: &[u
     let enc_key = key.derive(b"enc");
     let mac_key = key.derive(b"mac");
     let ciphertext = chacha20::encrypt(enc_key.as_bytes(), &nonce, plaintext);
-    let tag = hmac::hmac(mac_key.as_bytes(), &mac_input(&nonce, aad, &ciphertext));
+    let tag = mac(&mac_key, &nonce, aad, &ciphertext);
     Sealed {
         nonce,
         ciphertext,
@@ -126,10 +169,7 @@ pub fn seal_with_nonce(key: &SecretKey, nonce: Nonce, plaintext: &[u8], aad: &[u
 pub fn open(key: &SecretKey, sealed: &Sealed, aad: &[u8]) -> Result<Vec<u8>, OpenError> {
     let enc_key = key.derive(b"enc");
     let mac_key = key.derive(b"mac");
-    let expected = hmac::hmac(
-        mac_key.as_bytes(),
-        &mac_input(&sealed.nonce, aad, &sealed.ciphertext),
-    );
+    let expected = mac(&mac_key, &sealed.nonce, aad, &sealed.ciphertext);
     if !hc_common::hex::constant_time_eq(expected.as_bytes(), sealed.tag.as_bytes()) {
         return Err(OpenError);
     }
@@ -187,6 +227,42 @@ mod tests {
     }
 
     #[test]
+    fn from_wire_rejects_input_shorter_than_nonce_and_tag() {
+        assert_eq!(Sealed::from_wire(&[0u8; 43]), None);
+        let empty = Sealed::from_wire(&[0u8; 44]).unwrap();
+        assert!(empty.ciphertext.is_empty());
+    }
+
+    #[test]
+    fn json_form_is_one_hex_string() {
+        let sealed = seal(&key(), b"hba1c=6.5", b"at-rest");
+        let json = serde_json::to_string(&sealed).unwrap();
+        assert_eq!(
+            json,
+            format!("\"{}\"", hc_common::hex::encode(&sealed.to_wire()))
+        );
+        assert_eq!(serde_json::from_str::<Sealed>(&json).unwrap(), sealed);
+    }
+
+    #[test]
+    fn json_form_rejects_malformed_envelopes() {
+        let hex = hc_common::hex::encode(&[7u8; 44]);
+        assert!(serde_json::from_str::<Sealed>(&format!("\"{hex}\"")).is_ok());
+        assert!(
+            serde_json::from_str::<Sealed>("[1,2,3]").is_err(),
+            "non-string"
+        );
+        assert!(
+            serde_json::from_str::<Sealed>(&format!("\"{hex}0\"")).is_err(),
+            "odd length"
+        );
+        let non_hex = format!("\"{}zz\"", &hex[2..]);
+        assert!(serde_json::from_str::<Sealed>(&non_hex).is_err(), "non-hex");
+        let short = format!("\"{}\"", &hex[2..]);
+        assert!(serde_json::from_str::<Sealed>(&short).is_err(), "43 bytes");
+    }
+
+    #[test]
     fn derive_produces_distinct_subkeys() {
         assert_ne!(key().derive(b"a"), key().derive(b"b"));
     }
@@ -199,6 +275,31 @@ mod tests {
         ) {
             let sealed = seal(&key(), &data, &aad);
             prop_assert_eq!(open(&key(), &sealed, &aad).unwrap(), data);
+        }
+
+        #[test]
+        fn wire_form_round_trips(
+            data in proptest::collection::vec(any::<u8>(), 0..512),
+            aad in proptest::collection::vec(any::<u8>(), 0..16),
+        ) {
+            let sealed = seal(&key(), &data, &aad);
+            let wire = sealed.to_wire();
+            prop_assert_eq!(wire.len(), sealed.wire_len());
+            prop_assert_eq!(Sealed::from_wire(&wire), Some(sealed));
+        }
+
+        #[test]
+        fn flipped_hex_digit_fails_open(
+            data in proptest::collection::vec(any::<u8>(), 0..64),
+            at in any::<usize>(),
+        ) {
+            let sealed = seal(&key(), &data, b"at-rest");
+            let mut json = serde_json::to_string(&sealed).unwrap().into_bytes();
+            // Skip the opening quote; stay clear of the closing one.
+            let i = 1 + at % (json.len() - 2);
+            json[i] = if json[i] == b'0' { b'1' } else { b'0' };
+            let tampered: Sealed = serde_json::from_slice(&json).unwrap();
+            prop_assert_eq!(open(&key(), &tampered, b"at-rest"), Err(OpenError));
         }
 
         #[test]

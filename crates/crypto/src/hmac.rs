@@ -22,30 +22,7 @@ pub type Tag = Digest;
 /// assert!(hc_crypto::hmac::verify(b"key", b"message", &tag));
 /// ```
 pub fn hmac(key: &[u8], message: &[u8]) -> Tag {
-    let mut key_block = [0u8; BLOCK_LEN];
-    if key.len() > BLOCK_LEN {
-        let hashed = crate::sha256::hash(key);
-        key_block[..32].copy_from_slice(hashed.as_bytes());
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-
-    let mut ipad = [0u8; BLOCK_LEN];
-    let mut opad = [0u8; BLOCK_LEN];
-    for i in 0..BLOCK_LEN {
-        ipad[i] = key_block[i] ^ 0x36;
-        opad[i] = key_block[i] ^ 0x5c;
-    }
-
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(inner_digest.as_bytes());
-    outer.finalize()
+    hmac_parts(key, &[message])
 }
 
 /// Computes an HMAC over multiple message parts without concatenating.

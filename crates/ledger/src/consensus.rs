@@ -233,6 +233,11 @@ impl SlotWindow {
         self.log.lock().clone()
     }
 
+    /// How many sequence numbers have committed.
+    fn committed_len(&self) -> u64 {
+        self.log.lock().len() as u64
+    }
+
     /// Whether the log is the in-order prefix `0..len` of the sequence
     /// space — the pipeline's safety invariant.
     pub fn in_order(&self) -> bool {
@@ -481,7 +486,12 @@ impl PipelinedCluster {
             self.votes.commit_vote(head.seq);
         }
         self.committed_blocks += 1;
-        debug_assert!(self.votes.in_order(), "commit log left in-order prefix");
+        // In-order commitment, checked in O(1): the log is `0..=head.seq`.
+        debug_assert_eq!(
+            self.votes.committed_len(),
+            head.seq + 1,
+            "commit log left in-order prefix"
+        );
         if let Some(inst) = &self.instruments {
             inst.committed.inc();
             inst.in_flight.set(self.in_flight.len() as i64);

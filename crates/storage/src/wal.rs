@@ -5,35 +5,62 @@
 //! so replay detects torn or corrupted tails exactly like an on-disk WAL
 //! would — the log itself lives in memory because the platform is a
 //! simulation, but the format is byte-faithful.
+//!
+//! A record is `len u32 ‖ crc u32 ‖ seq u64 ‖ key u128 ‖ op u8 ‖ payload`,
+//! integers little-endian. `len` counts the bytes after `crc`, and `crc`
+//! covers exactly those bytes.
 
-use serde::{Deserialize, Serialize};
+/// Bytes of a record body before its payload: `seq`, `key` and `op`.
+const HEADER_LEN: usize = 8 + 16 + 1;
 
-/// CRC-32 (ISO-HDLC polynomial 0xEDB88320), bitwise implementation.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xffff_ffffu32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
+/// CRC-32/ISO-HDLC (reflected polynomial 0xEDB88320) of each byte value,
+/// built at compile time by the bitwise definition.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u32;
+        let mut bit = 0;
+        while bit < 8 {
             let mask = (crc & 1).wrapping_neg();
             crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+            bit += 1;
         }
+        table[byte] = crc;
+        byte += 1;
     }
-    !crc
+    table
+};
+
+/// Folds `data` into a running (pre-inverted) CRC-32 register.
+fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
+    for &byte in data {
+        let index = ((crc ^ u32::from(byte)) & 0xff) as usize;
+        // The index is masked to 0..=255, the table's length.
+        crc = (crc >> 8) ^ CRC_TABLE[index]; // hc-lint: allow(panic-index)
+    }
+    crc
 }
 
-/// The operation a WAL record describes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+/// CRC-32 (ISO-HDLC polynomial 0xEDB88320), table-driven.
+pub fn crc32(data: &[u8]) -> u32 {
+    !crc32_update(!0, data)
+}
+
+/// The operation a WAL record describes; the discriminant is the
+/// record's op byte.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum WalOp {
     /// A value was written.
-    Put,
+    Put = 0,
     /// A value was tombstoned.
-    Delete,
+    Delete = 1,
     /// A tombstoned value was physically purged.
-    Purge,
+    Purge = 2,
 }
 
 /// One durable log record.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct WalRecord {
     /// Monotonic sequence number.
     pub seq: u64,
@@ -43,6 +70,28 @@ pub struct WalRecord {
     pub op: WalOp,
     /// Operation payload (serialized version data; empty for deletes).
     pub payload: Vec<u8>,
+}
+
+impl WalRecord {
+    /// Decodes a record body (everything after the crc field), or `None`
+    /// when it is shorter than the header or names an unknown op.
+    fn decode(body: &[u8]) -> Option<WalRecord> {
+        let (seq, rest) = body.split_first_chunk::<8>()?;
+        let (key, rest) = rest.split_first_chunk::<16>()?;
+        let (&op, payload) = rest.split_first()?;
+        let op = match op {
+            0 => WalOp::Put,
+            1 => WalOp::Delete,
+            2 => WalOp::Purge,
+            _ => return None,
+        };
+        Some(WalRecord {
+            seq: u64::from_le_bytes(*seq),
+            key: u128::from_le_bytes(*key),
+            op,
+            payload: payload.to_vec(),
+        })
+    }
 }
 
 /// Errors detected during WAL replay.
@@ -100,17 +149,20 @@ impl WriteAheadLog {
     pub fn append(&mut self, key: u128, op: WalOp, payload: &[u8]) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let record = WalRecord {
-            seq,
-            key,
-            op,
-            payload: payload.to_vec(),
-        };
-        let body = serde_json::to_vec(&record).expect("wal record serializes");
-        self.buf
-            .extend_from_slice(&(body.len() as u32).to_le_bytes());
-        self.buf.extend_from_slice(&crc32(&body).to_le_bytes());
-        self.buf.extend_from_slice(&body);
+        let body: [&[u8]; 4] = [
+            &seq.to_le_bytes(),
+            &key.to_le_bytes(),
+            &[op as u8],
+            payload,
+        ];
+        let crc = !body.iter().fold(!0, |crc, part| crc32_update(crc, part));
+        let body_len = HEADER_LEN + payload.len();
+        self.buf.reserve(8 + body_len);
+        self.buf.extend_from_slice(&(body_len as u32).to_le_bytes());
+        self.buf.extend_from_slice(&crc.to_le_bytes());
+        for part in body {
+            self.buf.extend_from_slice(part);
+        }
         seq
     }
 
@@ -162,33 +214,27 @@ impl WriteAheadLog {
     pub fn replay(&self) -> (Vec<WalRecord>, Option<WalError>) {
         let mut records = Vec::new();
         let mut offset = 0usize;
-        while offset < self.buf.len() {
-            if offset + 8 > self.buf.len() {
+        let mut rest = self.buf.as_slice();
+        while !rest.is_empty() {
+            let Some((len, after_len)) = rest.split_first_chunk::<4>() else {
                 return (records, Some(WalError::TruncatedRecord { offset }));
-            }
-            let len = u32::from_le_bytes(
-                self.buf[offset..offset + 4]
-                    .try_into()
-                    .expect("4 bytes sliced"),
-            ) as usize;
-            let stored_crc = u32::from_le_bytes(
-                self.buf[offset + 4..offset + 8]
-                    .try_into()
-                    .expect("4 bytes sliced"),
-            );
-            let body_start = offset + 8;
-            if body_start + len > self.buf.len() {
+            };
+            let Some((stored_crc, after_crc)) = after_len.split_first_chunk::<4>() else {
                 return (records, Some(WalError::TruncatedRecord { offset }));
-            }
-            let body = &self.buf[body_start..body_start + len];
-            if crc32(body) != stored_crc {
+            };
+            let len = u32::from_le_bytes(*len) as usize;
+            let Some((body, next)) = after_crc.split_at_checked(len) else {
+                return (records, Some(WalError::TruncatedRecord { offset }));
+            };
+            if crc32(body) != u32::from_le_bytes(*stored_crc) {
                 return (records, Some(WalError::ChecksumMismatch { offset }));
             }
-            match serde_json::from_slice::<WalRecord>(body) {
-                Ok(record) => records.push(record),
-                Err(_) => return (records, Some(WalError::MalformedRecord { offset })),
-            }
-            offset = body_start + len;
+            let Some(record) = WalRecord::decode(body) else {
+                return (records, Some(WalError::MalformedRecord { offset }));
+            };
+            records.push(record);
+            offset += 8 + len;
+            rest = next;
         }
         (records, None)
     }
@@ -199,11 +245,70 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The bitwise CRC-32/ISO-HDLC definition the table is built from.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xffff_ffffu32;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    /// Appends a raw record with a valid CRC around an arbitrary body.
+    fn push_raw(wal: &mut WriteAheadLog, body: &[u8]) {
+        let buf = wal.as_bytes_mut();
+        buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&crc32(body).to_le_bytes());
+        buf.extend_from_slice(body);
+    }
+
     #[test]
     fn crc32_known_value() {
         // The canonical "123456789" check value for CRC-32/ISO-HDLC.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn record_layout_is_header_then_raw_payload() {
+        let mut wal = WriteAheadLog::new();
+        wal.append(0x0102, WalOp::Delete, b"xyz");
+        let bytes = wal.as_bytes();
+        assert_eq!(bytes.len(), 8 + HEADER_LEN + 3);
+        assert_eq!(bytes[..4], ((HEADER_LEN + 3) as u32).to_le_bytes());
+        assert_eq!(bytes[4..8], crc32(&bytes[8..]).to_le_bytes());
+        assert_eq!(bytes[8..16], 0u64.to_le_bytes());
+        assert_eq!(bytes[16..32], 0x0102u128.to_le_bytes());
+        assert_eq!(bytes[32..], [1, b'x', b'y', b'z']);
+    }
+
+    #[test]
+    fn short_body_with_valid_crc_is_malformed() {
+        let mut wal = WriteAheadLog::new();
+        wal.append(1, WalOp::Put, b"kept");
+        let offset = wal.byte_len();
+        push_raw(&mut wal, &[0u8; HEADER_LEN - 1]);
+        let (records, err) = wal.replay();
+        assert_eq!(records.len(), 1, "earlier record recovered");
+        assert_eq!(records[0].payload, b"kept");
+        assert_eq!(err, Some(WalError::MalformedRecord { offset }));
+    }
+
+    #[test]
+    fn unknown_op_with_valid_crc_is_malformed() {
+        let mut wal = WriteAheadLog::new();
+        wal.append(1, WalOp::Put, b"kept");
+        let offset = wal.byte_len();
+        let mut body = [0u8; HEADER_LEN];
+        body[HEADER_LEN - 1] = 3;
+        push_raw(&mut wal, &body);
+        let (records, err) = wal.replay();
+        assert_eq!(records.len(), 1, "earlier record recovered");
+        assert_eq!(err, Some(WalError::MalformedRecord { offset }));
     }
 
     #[test]
@@ -252,6 +357,13 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn table_crc_matches_bitwise_definition(
+            data in proptest::collection::vec(any::<u8>(), 0..512)
+        ) {
+            prop_assert_eq!(crc32(&data), crc32_bitwise(&data));
+        }
+
         #[test]
         fn arbitrary_payloads_replay(
             payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 0..20)

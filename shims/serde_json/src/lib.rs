@@ -108,31 +108,42 @@ fn emit(value: &Value, out: &mut String) {
 
 fn emit_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Copy each run of bytes that needs no escape with one `push_str`.
+    // Every escaped byte is ASCII, so run boundaries are char boundaries.
+    let mut run_start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
+        out.push_str(&s[run_start..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => out.push_str(&format!("\\u{b:04x}")),
+        }
+        run_start = i + 1;
     }
+    out.push_str(&s[run_start..]);
     out.push('"');
 }
 
 // ---------------------------------------------------------------- parser
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 fn parse(s: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser {
+        text: s,
+        bytes: s.as_bytes(),
+        pos: 0,
+    };
     let value = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -254,71 +265,56 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let b = *self
+            // Copy the run up to the next quote or backslash in one go.
+            // The parser only ever stops just past an ASCII byte, so both
+            // ends of the run are char boundaries of `text`.
+            let rest = self
+                .text
+                .get(self.pos..)
+                .ok_or_else(|| Error::new("string starts inside a UTF-8 sequence"))?;
+            let (run, end) = rest
+                .bytes()
+                .enumerate()
+                .find(|&(_, b)| b == b'"' || b == b'\\')
+                .ok_or_else(|| Error::new("unterminated string"))?;
+            out.push_str(&rest[..run]);
+            self.pos += run + 1;
+            if end == b'"' {
+                return Ok(out);
+            }
+            let esc = *self
                 .bytes
                 .get(self.pos)
-                .ok_or_else(|| Error::new("unterminated string"))?;
+                .ok_or_else(|| Error::new("unterminated escape"))?;
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| Error::new("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require the low half.
-                                if self.bytes.get(self.pos) == Some(&b'\\')
-                                    && self.bytes.get(self.pos + 1) == Some(&b'u')
-                                {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                                } else {
-                                    return Err(Error::new("unpaired surrogate"));
-                                }
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::new("invalid \\u escape"))?,
-                            );
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{0008}'),
+                b'f' => out.push('\u{000c}'),
+                b'u' => {
+                    let hi = self.hex4()?;
+                    let code = if (0xD800..0xDC00).contains(&hi) {
+                        // Surrogate pair: require the low half.
+                        if self.bytes.get(self.pos) == Some(&b'\\')
+                            && self.bytes.get(self.pos + 1) == Some(&b'u')
+                        {
+                            self.pos += 2;
+                            let lo = self.hex4()?;
+                            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                        } else {
+                            return Err(Error::new("unpaired surrogate"));
                         }
-                        other => {
-                            return Err(Error::new(format!(
-                                "invalid escape `\\{}`",
-                                other as char
-                            )))
-                        }
-                    }
+                    } else {
+                        hi
+                    };
+                    out.push(char::from_u32(code).ok_or_else(|| Error::new("invalid \\u escape"))?);
                 }
-                _ => {
-                    // Re-decode the UTF-8 sequence starting here.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = start + len;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or_else(|| Error::new("truncated UTF-8 sequence"))?;
-                    let s = std::str::from_utf8(chunk)
-                        .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
+                other => return Err(Error::new(format!("invalid escape `\\{}`", other as char))),
             }
         }
     }
@@ -374,15 +370,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,6 +389,22 @@ mod tests {
         let mut text = String::new();
         emit(&doc, &mut text);
         assert_eq!(parse(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn string_escapes_between_unescaped_runs() {
+        let raw = "a\u{1}b\"c\\d\ne\rf\tgé€😀";
+        let mut out = String::new();
+        emit(&Value::Str(raw.to_string()), &mut out);
+        assert_eq!(out, "\"a\\u0001b\\\"c\\\\d\\ne\\rf\\tgé€😀\"");
+        assert_eq!(parse(&out).unwrap(), Value::Str(raw.to_string()));
+        let escaped = "\"x\\/\\b\\f\\u00e9\\ud83d\\ude00y\"";
+        assert_eq!(
+            parse(escaped).unwrap(),
+            Value::Str("x/\u{8}\u{c}é😀y".to_string())
+        );
+        assert!(parse("\"open").is_err());
+        assert!(parse("\"bad\\q\"").is_err());
     }
 
     #[test]

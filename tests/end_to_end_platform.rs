@@ -2,9 +2,11 @@
 //! export → audit → right-to-forget.
 
 use hc_access::model::{Action, Permission, ResourceKind};
-use hc_common::id::PatientId;
+use hc_common::id::{KeyId, PatientId, Principal};
 use hc_core::monitoring;
 use hc_core::platform::{demo_bundle, HealthCloudPlatform, PlatformConfig};
+use hc_crypto::aead::Sealed;
+use hc_crypto::sha256;
 use hc_ingest::status::IngestionStatus;
 use hc_ledger::chain::ChainStatus;
 use hc_ledger::provenance::ProvenanceAction;
@@ -74,6 +76,27 @@ fn full_patient_data_lifecycle() {
             ProvenanceAction::Exported, // full export
         ]
     );
+
+    // At rest the record is a sealed envelope under the KMS key its `dek`
+    // tag names; it opens to the exact bytes the `Ingested` event hashed,
+    // and the lake agrees with its WAL.
+    let (stored, dek) = {
+        let mut lake = platform.lake.lock();
+        let version = lake.get_latest(record).unwrap();
+        (version.data.clone(), version.tags["dek"].clone())
+    };
+    let sealed: Sealed = serde_json::from_slice(&stored).unwrap();
+    let opened = platform
+        .kms
+        .open(
+            &Principal::Service("export".into()),
+            KeyId::from_raw(dek.parse().unwrap()),
+            &sealed,
+            b"at-rest",
+        )
+        .unwrap();
+    assert_eq!(sha256::hash(&opened), history[0].data_hash);
+    assert!(platform.lake.lock().verify_against_wal().is_empty());
 
     // Right-to-forget destroys the record and anchors the deletion.
     assert_eq!(platform.forget_patient(patient), 1);
