@@ -7,7 +7,7 @@
 //! including replaying a ciphertext under different metadata — is detected.
 
 use rand::Rng;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Reader, Serialize, Writer};
 
 use crate::chacha20::{self, Nonce};
 use crate::hmac;
@@ -95,19 +95,19 @@ impl Sealed {
 }
 
 impl Serialize for Sealed {
-    fn to_value(&self) -> Value {
-        Value::Str(hc_common::hex::encode(&self.to_wire()))
+    fn serialize(&self, out: &mut Writer) {
+        out.str_unescaped(|buf| {
+            hc_common::hex::encode_into(&self.nonce.0, buf);
+            hc_common::hex::encode_into(self.tag.as_bytes(), buf);
+            hc_common::hex::encode_into(&self.ciphertext, buf);
+        });
     }
 }
 
 impl Deserialize for Sealed {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let Value::Str(text) = value else {
-            return Err(DeError::msg(format!(
-                "expected sealed hex string, got {value:?}"
-            )));
-        };
-        let wire = hc_common::hex::decode(text).map_err(DeError::msg)?;
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, DeError> {
+        let text = input.str()?;
+        let wire = hc_common::hex::decode(&text).map_err(DeError::msg)?;
         Sealed::from_wire(&wire)
             .ok_or_else(|| DeError::msg("sealed envelope shorter than nonce and tag"))
     }

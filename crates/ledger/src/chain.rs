@@ -308,6 +308,9 @@ pub struct Ledger {
     checkpoints: Vec<Checkpoint>,
     interval_roots: Vec<Digest>,
     pruned_body_bytes: u64,
+    /// Body bytes of the retained blocks as committed, kept up to date
+    /// on append and prune so the gauge costs O(1) per block.
+    retained_bytes: u64,
     instruments: Option<CheckpointInstruments>,
 }
 
@@ -337,6 +340,7 @@ impl Ledger {
             checkpoints: Vec::new(),
             interval_roots: Vec::new(),
             pruned_body_bytes: 0,
+            retained_bytes: 0,
             instruments: None,
         }
     }
@@ -394,7 +398,8 @@ impl Ledger {
         self.checkpoints.last()
     }
 
-    /// Bytes of transaction body currently retained.
+    /// Bytes of transaction body currently retained, summed over the
+    /// retained blocks.
     pub fn retained_body_bytes(&self) -> u64 {
         self.blocks.iter().map(Block::body_bytes).sum()
     }
@@ -454,10 +459,11 @@ impl Ledger {
         let stamp = Block::stamp(&transactions);
         let block = Block::from_parts(self.height(), prev_hash, merkle_root, stamp, transactions);
         self.block_hashes.push(block.hash);
+        self.retained_bytes += block.body_bytes();
         self.blocks.push(block);
         self.maybe_seal_checkpoint();
         if let Some(inst) = &self.instruments {
-            inst.retained_bytes.set(self.retained_body_bytes() as i64);
+            inst.retained_bytes.set(self.retained_bytes as i64);
         }
     }
 
@@ -510,10 +516,11 @@ impl Ledger {
             self.pruned_headers.push(block.header());
         }
         self.pruned_body_bytes += bytes;
+        self.retained_bytes -= bytes;
         if let Some(inst) = &self.instruments {
             inst.pruned_blocks.add(count);
             inst.pruned_bytes.add(bytes);
-            inst.retained_bytes.set(self.retained_body_bytes() as i64);
+            inst.retained_bytes.set(self.retained_bytes as i64);
             inst.pruned_below.set(self.pruned_below() as i64);
         }
         count
@@ -935,6 +942,25 @@ mod tests {
         assert_eq!(l.verify_chain(), ChainStatus::Valid);
         // Pruning is idempotent until the next seal.
         assert_eq!(l.prune(), 0);
+    }
+
+    #[test]
+    fn retained_bytes_gauge_tracks_appends_and_prunes() {
+        let registry = Registry::new();
+        let mut l = ledger();
+        l.instrument(&registry);
+        l.enable_checkpoints(CheckpointConfig::every(3).retaining(2));
+        let gauge = registry.gauge("ledger.ckpt.retained_bytes");
+        for (i, batch) in batches(14).into_iter().enumerate() {
+            l.submit(batch).unwrap();
+            assert_eq!(gauge.get(), l.retained_body_bytes() as i64, "after append {i}");
+            if i % 4 == 3 {
+                assert!(l.prune() > 0);
+                assert_eq!(gauge.get(), l.retained_body_bytes() as i64, "after prune {i}");
+            }
+        }
+        assert!(l.pruned_body_bytes() > 0);
+        assert!(l.retained_body_bytes() > 0);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! workspace actually derives: named structs, tuple/newtype structs,
 //! and enums with unit / newtype / tuple / struct variants, in the
 //! default externally-tagged form or the internally-tagged
-//! `#[serde(tag = "...")]` form. Generic types are rejected.
+//! `#[serde(tag = "...")]` form. Generic types are rejected. The
+//! generated impls call the JSON writer and reader of the `serde` shim
+//! directly; no intermediate document is built.
 
 use proc_macro::{Delimiter, Group, TokenStream, TokenTree};
 use std::iter::Peekable;
@@ -38,7 +40,8 @@ enum VariantKind {
     Struct(Vec<String>),
 }
 
-/// Derives `serde::Serialize` (the shim's value-tree rendering).
+/// Derives `serde::Serialize`: writes the value as compact JSON, with
+/// object keys in ascending byte order.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
@@ -47,7 +50,8 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         .expect("serde shim generated invalid Serialize impl")
 }
 
-/// Derives `serde::Deserialize` (the shim's value-tree rebuilding).
+/// Derives `serde::Deserialize`: reads the value from JSON, skipping
+/// unknown keys and keeping the last of repeated ones.
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
@@ -266,35 +270,76 @@ fn parse_variants(body: &Group) -> Vec<Variant> {
 }
 
 // ---------------------------------------------------------------- codegen
+//
+// Generated code names everything through `::serde::__private`, so it
+// needs nothing in scope. Struct fields and variant payloads are written
+// in ascending byte order of their names, sorted here at expansion time.
+
+const P: &str = "::serde::__private";
+
+fn sorted(fields: &[String]) -> Vec<&String> {
+    let mut sorted: Vec<&String> = fields.iter().collect();
+    sorted.sort();
+    sorted
+}
+
+/// Statements writing the named fields to the object writer `__obj`;
+/// `access` turns a field name into an expression borrowing its value.
+fn write_fields(fields: &[String], access: impl Fn(&str) -> String) -> String {
+    sorted(fields)
+        .into_iter()
+        .map(|f| format!("__obj.field(\"{f}\", {});\n", access(f)))
+        .collect()
+}
+
+/// Statements writing the values `exprs` as one array to `__out`.
+fn write_array(exprs: &[String]) -> String {
+    let mut out = String::from("let mut __arr = __out.array();\n");
+    for e in exprs {
+        out.push_str(&format!("__arr.element({e});\n"));
+    }
+    out.push_str("__arr.end();\n");
+    out
+}
 
 fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
+    let mut tagged = None;
     let body = match &item.kind {
         ItemKind::NamedStruct(fields) => {
-            let mut out = String::from(
-                "let mut __map = ::std::collections::BTreeMap::new();\n",
-            );
-            for f in fields {
-                out.push_str(&format!(
-                    "__map.insert(\"{f}\".to_string(), ::serde::Serialize::to_value(&self.{f}));\n"
-                ));
-            }
-            out.push_str("::serde::Value::Object(__map)");
-            out
+            let writes = write_fields(fields, |f| format!("&self.{f}"));
+            tagged = Some(format!(
+                "#[allow(unused_mut)]\n\
+                 let mut __obj = __out.tagged_object(__tag, __variant);\n{writes}__obj.end();"
+            ));
+            format!("#[allow(unused_mut)]\nlet mut __obj = __out.object();\n{writes}__obj.end();")
         }
-        ItemKind::TupleStruct(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
+        ItemKind::TupleStruct(1) => {
+            tagged = Some(format!(
+                "{P}::Serialize::serialize_tagged(&self.0, __out, __tag, __variant)"
+            ));
+            format!("{P}::Serialize::serialize(&self.0, __out)")
+        }
         ItemKind::TupleStruct(n) => {
-            let elems: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            format!("::serde::Value::Array(vec![{}])", elems.join(", "))
+            let exprs: Vec<String> = (0..*n).map(|i| format!("&self.{i}")).collect();
+            write_array(&exprs)
         }
-        ItemKind::UnitStruct => "::serde::Value::Null".to_string(),
+        ItemKind::UnitStruct => "__out.null()".to_string(),
         ItemKind::Enum(variants) => gen_serialize_enum(name, item.tag.as_deref(), variants),
     };
+    let tagged = tagged
+        .map(|body| {
+            format!(
+                "fn serialize_tagged(&self, __out: &mut {P}::Writer, __tag: &str, __variant: &str) {{\n\
+                     {body}\n\
+                 }}\n"
+            )
+        })
+        .unwrap_or_default();
     format!(
-        "impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n\
+        "impl {P}::Serialize for {name} {{\n\
+             fn serialize(&self, __out: &mut {P}::Writer) {{\n{body}\n}}\n\
+             {tagged}\
          }}"
     )
 }
@@ -304,233 +349,239 @@ fn gen_serialize_enum(name: &str, tag: Option<&str>, variants: &[Variant]) -> St
     for v in variants {
         let vn = &v.name;
         let arm = match (&v.kind, tag) {
-            (VariantKind::Unit, None) => format!(
-                "{name}::{vn} => ::serde::Value::Str(\"{vn}\".to_string()),\n"
-            ),
-            (VariantKind::Unit, Some(tag)) => format!(
-                "{name}::{vn} => {{\n\
-                     let mut __map = ::std::collections::BTreeMap::new();\n\
-                     __map.insert(\"{tag}\".to_string(), ::serde::Value::Str(\"{vn}\".to_string()));\n\
-                     ::serde::Value::Object(__map)\n\
-                 }}\n"
-            ),
+            (VariantKind::Unit, None) => format!("{name}::{vn} => __out.str(\"{vn}\"),\n"),
+            (VariantKind::Unit, Some(tag)) => {
+                format!("{name}::{vn} => __out.tagged_object(\"{tag}\", \"{vn}\").end(),\n")
+            }
             (VariantKind::Newtype, None) => format!(
                 "{name}::{vn}(__f0) => {{\n\
-                     let mut __map = ::std::collections::BTreeMap::new();\n\
-                     __map.insert(\"{vn}\".to_string(), ::serde::Serialize::to_value(__f0));\n\
-                     ::serde::Value::Object(__map)\n\
+                     let mut __obj = __out.object();\n\
+                     __obj.field(\"{vn}\", __f0);\n\
+                     __obj.end();\n\
                  }}\n"
             ),
             (VariantKind::Newtype, Some(tag)) => format!(
-                "{name}::{vn}(__f0) => {{\n\
-                     match ::serde::Serialize::to_value(__f0) {{\n\
-                         ::serde::Value::Object(mut __map) => {{\n\
-                             __map.insert(\"{tag}\".to_string(), ::serde::Value::Str(\"{vn}\".to_string()));\n\
-                             ::serde::Value::Object(__map)\n\
-                         }}\n\
-                         __other => panic!(\"internally tagged variant {name}::{vn} must serialize to an object\"),\n\
-                     }}\n\
-                 }}\n"
+                "{name}::{vn}(__f0) => {P}::Serialize::serialize_tagged(__f0, __out, \"{tag}\", \"{vn}\"),\n"
             ),
+            // An internally tagged enum cannot read a tuple variant back,
+            // but writes one in the external form.
             (VariantKind::Tuple(n), _) => {
                 let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                let elems: Vec<String> = binds
-                    .iter()
-                    .map(|b| format!("::serde::Serialize::to_value({b})"))
-                    .collect();
                 format!(
                     "{name}::{vn}({}) => {{\n\
-                         let mut __map = ::std::collections::BTreeMap::new();\n\
-                         __map.insert(\"{vn}\".to_string(), ::serde::Value::Array(vec![{}]));\n\
-                         ::serde::Value::Object(__map)\n\
+                         let mut __obj = __out.object();\n\
+                         __obj.field_with(\"{vn}\", |__out| {{\n{}}});\n\
+                         __obj.end();\n\
                      }}\n",
                     binds.join(", "),
-                    elems.join(", ")
+                    write_array(&binds)
                 )
             }
-            (VariantKind::Struct(fields), tag) => {
-                let binds = fields.join(", ");
-                let mut inner = String::from(
-                    "let mut __inner = ::std::collections::BTreeMap::new();\n",
-                );
-                for f in fields {
-                    inner.push_str(&format!(
-                        "__inner.insert(\"{f}\".to_string(), ::serde::Serialize::to_value({f}));\n"
-                    ));
-                }
-                match tag {
-                    None => format!(
-                        "{name}::{vn} {{ {binds} }} => {{\n\
-                             {inner}\
-                             let mut __map = ::std::collections::BTreeMap::new();\n\
-                             __map.insert(\"{vn}\".to_string(), ::serde::Value::Object(__inner));\n\
-                             ::serde::Value::Object(__map)\n\
-                         }}\n"
-                    ),
-                    Some(tag) => format!(
-                        "{name}::{vn} {{ {binds} }} => {{\n\
-                             {inner}\
-                             __inner.insert(\"{tag}\".to_string(), ::serde::Value::Str(\"{vn}\".to_string()));\n\
-                             ::serde::Value::Object(__inner)\n\
-                         }}\n"
-                    ),
-                }
-            }
+            (VariantKind::Struct(fields), None) => format!(
+                "{name}::{vn} {{ {} }} => {{\n\
+                     let mut __outer = __out.object();\n\
+                     __outer.field_with(\"{vn}\", |__out| {{\n\
+                         #[allow(unused_mut)]\n\
+                         let mut __obj = __out.object();\n\
+                         {}__obj.end();\n\
+                     }});\n\
+                     __outer.end();\n\
+                 }}\n",
+                fields.join(", "),
+                write_fields(fields, str::to_string)
+            ),
+            (VariantKind::Struct(fields), Some(tag)) => format!(
+                "{name}::{vn} {{ {} }} => {{\n\
+                     #[allow(unused_mut)]\n\
+                     let mut __obj = __out.tagged_object(\"{tag}\", \"{vn}\");\n\
+                     {}__obj.end();\n\
+                 }}\n",
+                fields.join(", "),
+                write_fields(fields, str::to_string)
+            ),
         };
         arms.push_str(&arm);
     }
     format!("match self {{\n{arms}}}")
 }
 
+/// An expression reading a named-field object from `__in` into
+/// `Ok(ctor { .. })`. Each field's last value is kept in an `Option`
+/// slot whose type the struct literal infers; a missing key takes the
+/// field type's absent value, and fields are checked in declaration
+/// order.
+fn read_fields(ctor: &str, fields: &[String]) -> String {
+    let mut out = String::from("{\n");
+    for i in 0..fields.len() {
+        out.push_str(&format!("let mut __f{i} = ::std::option::Option::None;\n"));
+    }
+    out.push_str("__in.object(|__in, __key| match __key {\n");
+    for (i, f) in fields.iter().enumerate() {
+        out.push_str(&format!(
+            "\"{f}\" => {{\n\
+                 __f{i} = ::std::option::Option::Some(__in.read_field()?);\n\
+                 ::std::result::Result::Ok(())\n\
+             }}\n"
+        ));
+    }
+    out.push_str("_ => __in.skip_value(),\n})?;\n");
+    out.push_str(&format!("::std::result::Result::Ok({ctor} {{\n"));
+    for (i, f) in fields.iter().enumerate() {
+        out.push_str(&format!("{f}: {P}::field(__f{i}, \"{f}\")?,\n"));
+    }
+    out.push_str("})\n}");
+    out
+}
+
+/// An expression reading an array of exactly `n` elements from `__in`
+/// into `Ok(ctor(..))`.
+fn read_tuple(ctor: &str, n: usize) -> String {
+    let mut out = String::from("{\n");
+    for i in 0..n {
+        out.push_str(&format!("let mut __f{i} = ::std::option::Option::None;\n"));
+    }
+    out.push_str("let mut __len = 0usize;\n__in.array(|__in| {\nmatch __len {\n");
+    for i in 0..n {
+        out.push_str(&format!(
+            "{i} => __f{i} = ::std::option::Option::Some({P}::Deserialize::deserialize(__in)?),\n"
+        ));
+    }
+    out.push_str(&format!(
+        "_ => __in.skip_value()?,\n}}\n__len += 1;\n::std::result::Result::Ok(())\n}})?;\n\
+         let __wrong_len = || {P}::DeError::msg(format!(\"{ctor} expects {n} elements, got {{}}\", __len));\n\
+         if __len != {n} {{\n\
+             return ::std::result::Result::Err(__wrong_len());\n\
+         }}\n\
+         ::std::result::Result::Ok({ctor}(\n"
+    ));
+    for i in 0..n {
+        out.push_str(&format!("__f{i}.ok_or_else(__wrong_len)?,\n"));
+    }
+    out.push_str("))\n}");
+    out
+}
+
 fn gen_deserialize(item: &Item) -> String {
     let name = &item.name;
+    let mut absent = None;
     let body = match &item.kind {
-        ItemKind::NamedStruct(fields) => {
-            let mut out = format!(
-                "let __map = ::serde::__private::as_object(__value, \"{name}\")?;\n\
-                 ::std::result::Result::Ok({name} {{\n"
-            );
-            for f in fields {
-                out.push_str(&format!("{f}: ::serde::__private::field(__map, \"{f}\")?,\n"));
-            }
-            out.push_str("})");
-            out
+        ItemKind::NamedStruct(fields) => read_fields(name, fields),
+        ItemKind::TupleStruct(1) => {
+            absent = Some(format!("{P}::Deserialize::absent().map({name})"));
+            format!("{P}::Deserialize::deserialize(__in).map({name})")
         }
-        ItemKind::TupleStruct(1) => format!(
-            "::std::result::Result::Ok({name}(::serde::Deserialize::from_value(__value)?))"
-        ),
-        ItemKind::TupleStruct(n) => {
-            let mut out = format!(
-                "let __items = ::serde::__private::as_array(__value, \"{name}\")?;\n\
-                 if __items.len() != {n} {{\n\
-                     return ::std::result::Result::Err(::serde::DeError::msg(\n\
-                         format!(\"{name} expects {n} elements, got {{}}\", __items.len())));\n\
-                 }}\n\
-                 ::std::result::Result::Ok({name}(\n"
-            );
-            for i in 0..*n {
-                out.push_str(&format!("::serde::Deserialize::from_value(&__items[{i}])?,\n"));
-            }
-            out.push_str("))");
-            out
+        ItemKind::TupleStruct(n) => read_tuple(name, *n),
+        // Any value reads as a unit struct, and so does an absent one.
+        ItemKind::UnitStruct => {
+            absent = Some(format!("::std::option::Option::Some({name})"));
+            format!("__in.skip_value()?;\n::std::result::Result::Ok({name})")
         }
-        ItemKind::UnitStruct => format!("::std::result::Result::Ok({name})"),
         ItemKind::Enum(variants) => match item.tag.as_deref() {
             Some(tag) => gen_deserialize_tagged_enum(name, tag, variants),
             None => gen_deserialize_plain_enum(name, variants),
         },
     };
+    let absent = absent
+        .map(|body| {
+            format!("fn absent() -> ::std::option::Option<Self> {{\n{body}\n}}\n")
+        })
+        .unwrap_or_default();
     format!(
-        "impl ::serde::Deserialize for {name} {{\n\
-             fn from_value(__value: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
+        "impl {P}::Deserialize for {name} {{\n\
+             fn deserialize(__in: &mut {P}::Reader<'_>) -> ::std::result::Result<Self, {P}::DeError> {{\n\
                  {body}\n\
              }}\n\
+             {absent}\
          }}"
     )
 }
 
+/// Reads the externally tagged form: a unit variant is its name as a
+/// string, any other variant an object with its name as the one key.
 fn gen_deserialize_plain_enum(name: &str, variants: &[Variant]) -> String {
     let mut unit_arms = String::new();
     let mut payload_arms = String::new();
     for v in variants {
         let vn = &v.name;
-        match &v.kind {
-            VariantKind::Unit => unit_arms.push_str(&format!(
-                "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}),\n"
-            )),
-            VariantKind::Newtype => payload_arms.push_str(&format!(
-                "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}(\
-                     ::serde::Deserialize::from_value(__payload)?)),\n"
-            )),
-            VariantKind::Tuple(n) => {
-                let mut arm = format!(
-                    "\"{vn}\" => {{\n\
-                         let __items = ::serde::__private::as_array(__payload, \"{name}::{vn}\")?;\n\
-                         if __items.len() != {n} {{\n\
-                             return ::std::result::Result::Err(::serde::DeError::msg(\n\
-                                 format!(\"{name}::{vn} expects {n} elements, got {{}}\", __items.len())));\n\
-                         }}\n\
-                         ::std::result::Result::Ok({name}::{vn}(\n"
-                );
-                for i in 0..*n {
-                    arm.push_str(&format!("::serde::Deserialize::from_value(&__items[{i}])?,\n"));
-                }
-                arm.push_str("))\n}\n");
-                payload_arms.push_str(&arm);
+        let ctor = format!("{name}::{vn}");
+        let read = match &v.kind {
+            VariantKind::Unit => {
+                unit_arms.push_str(&format!("\"{vn}\" => ::std::result::Result::Ok({ctor}),\n"));
+                continue;
             }
-            VariantKind::Struct(fields) => {
-                let mut arm = format!(
-                    "\"{vn}\" => {{\n\
-                         let __inner = ::serde::__private::as_object(__payload, \"{name}::{vn}\")?;\n\
-                         ::std::result::Result::Ok({name}::{vn} {{\n"
-                );
-                for f in fields {
-                    arm.push_str(&format!(
-                        "{f}: ::serde::__private::field(__inner, \"{f}\")?,\n"
-                    ));
-                }
-                arm.push_str("})\n}\n");
-                payload_arms.push_str(&arm);
-            }
-        }
+            VariantKind::Newtype => format!("{P}::Deserialize::deserialize(__in).map({ctor})"),
+            VariantKind::Tuple(n) => read_tuple(&ctor, *n),
+            VariantKind::Struct(fields) => read_fields(&ctor, fields),
+        };
+        payload_arms.push_str(&format!(
+            "\"{vn}\" => {{\n\
+                 __value = ::std::option::Option::Some(__in.read_field_with(|__in| {read})?);\n\
+                 ::std::result::Result::Ok(())\n\
+             }}\n"
+        ));
     }
+    // A repeated key keeps its last payload; a second distinct key makes
+    // the object no variant at all.
     format!(
-        "match __value {{\n\
-             ::serde::Value::Str(__s) => match __s.as_str() {{\n\
+        "if __in.peek()? == b'\"' {{\n\
+             let __s = __in.str()?;\n\
+             return match &*__s {{\n\
                  {unit_arms}\
-                 __other => ::std::result::Result::Err(::serde::DeError::msg(\n\
-                     format!(\"unknown {name} variant `{{__other}}`\"))),\n\
-             }},\n\
-             ::serde::Value::Object(__outer) if __outer.len() == 1 => {{\n\
-                 let (__variant, __payload) = __outer.iter().next().unwrap();\n\
-                 match __variant.as_str() {{\n\
-                     {payload_arms}\
-                     __other => ::std::result::Result::Err(::serde::DeError::msg(\n\
-                         format!(\"unknown {name} variant `{{__other}}`\"))),\n\
+                 __other => ::std::result::Result::Err({P}::unknown_variant(\"{name}\", __other)),\n\
+             }};\n\
+         }}\n\
+         let mut __first: ::std::option::Option<::std::string::String> = ::std::option::Option::None;\n\
+         let mut __one_key = true;\n\
+         let mut __value: ::std::option::Option<::std::result::Result<Self, {P}::DeError>> = ::std::option::Option::None;\n\
+         __in.object(|__in, __key| {{\n\
+             match &__first {{\n\
+                 ::std::option::Option::None => __first = ::std::option::Option::Some(__key.to_owned()),\n\
+                 ::std::option::Option::Some(__k) if __k != __key => __one_key = false,\n\
+                 _ => {{}}\n\
+             }}\n\
+             if !__one_key {{\n\
+                 return __in.skip_value();\n\
+             }}\n\
+             match __key {{\n\
+                 {payload_arms}\
+                 __other => {{\n\
+                     __in.skip_value()?;\n\
+                     __value = ::std::option::Option::Some(::std::result::Result::Err({P}::unknown_variant(\"{name}\", __other)));\n\
+                     ::std::result::Result::Ok(())\n\
                  }}\n\
              }}\n\
-             __other => ::std::result::Result::Err(::serde::DeError::msg(\n\
-                 format!(\"cannot deserialize {name} from {{__other:?}}\"))),\n\
+         }})?;\n\
+         match __value {{\n\
+             ::std::option::Option::Some(__result) if __one_key => __result,\n\
+             _ => ::std::result::Result::Err({P}::DeError::msg(\n\
+                 \"expected {name} as a string or an object with one key\")),\n\
          }}"
     )
 }
 
+/// Reads the internally tagged form: a scan ahead finds the variant
+/// under `tag`, then the variant reads the whole object, skipping the
+/// tag as an unknown key.
 fn gen_deserialize_tagged_enum(name: &str, tag: &str, variants: &[Variant]) -> String {
     let mut arms = String::new();
     for v in variants {
         let vn = &v.name;
-        match &v.kind {
-            VariantKind::Unit => arms.push_str(&format!(
-                "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}),\n"
-            )),
-            VariantKind::Newtype => arms.push_str(&format!(
-                "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}(\
-                     ::serde::Deserialize::from_value(__value)?)),\n"
-            )),
-            VariantKind::Tuple(_) => panic!(
-                "internally tagged enum {name} cannot hold tuple variant {vn}"
-            ),
-            VariantKind::Struct(fields) => {
-                let mut arm = format!(
-                    "\"{vn}\" => ::std::result::Result::Ok({name}::{vn} {{\n"
-                );
-                for f in fields {
-                    arm.push_str(&format!(
-                        "{f}: ::serde::__private::field(__map, \"{f}\")?,\n"
-                    ));
-                }
-                arm.push_str("}),\n");
-                arms.push_str(&arm);
+        let ctor = format!("{name}::{vn}");
+        let read = match &v.kind {
+            VariantKind::Unit => format!("__in.skip_value()?;\n::std::result::Result::Ok({ctor})"),
+            VariantKind::Newtype => format!("{P}::Deserialize::deserialize(__in).map({ctor})"),
+            VariantKind::Tuple(_) => {
+                panic!("internally tagged enum {name} cannot hold tuple variant {vn}")
             }
-        }
+            VariantKind::Struct(fields) => read_fields(&ctor, fields),
+        };
+        arms.push_str(&format!("\"{vn}\" => {{\n{read}\n}}\n"));
     }
     format!(
-        "let __map = ::serde::__private::as_object(__value, \"{name}\")?;\n\
-         let __tag = ::serde::__private::tag(__map, \"{tag}\", \"{name}\")?;\n\
-         match __tag {{\n\
+        "let __tag = __in.tag(\"{tag}\", \"{name}\")?;\n\
+         match &*__tag {{\n\
              {arms}\
-             __other => ::std::result::Result::Err(::serde::DeError::msg(\n\
-                 format!(\"unknown {name} variant `{{__other}}`\"))),\n\
+             __other => ::std::result::Result::Err({P}::unknown_variant(\"{name}\", __other)),\n\
          }}"
     )
 }
