@@ -68,13 +68,11 @@ struct OrgRecord {
 #[derive(Debug)]
 struct EnvRecord {
     org: OrgId,
-    name: String,
     kind: EnvKind,
 }
 
 #[derive(Debug)]
 struct GroupRecord {
-    org: OrgId,
     study: String,
 }
 
@@ -131,7 +129,7 @@ impl RbacEngine {
             .add_org(rng, tenant, "default")
             .expect("tenant just created");
         let env = self
-            .add_env(rng, org, "default-dev", EnvKind::Development)
+            .add_env(rng, org, EnvKind::Development)
             .expect("org just created");
         (tenant, org, env)
     }
@@ -170,21 +168,13 @@ impl RbacEngine {
         &mut self,
         rng: &mut R,
         org: OrgId,
-        name: &str,
         kind: EnvKind,
     ) -> Result<EnvId, RbacError> {
         if !self.orgs.contains_key(&org) {
             return Err(RbacError::UnknownOrg(org));
         }
         let env = EnvId::random(rng);
-        self.envs.insert(
-            env,
-            EnvRecord {
-                org,
-                name: name.to_owned(),
-                kind,
-            },
-        );
+        self.envs.insert(env, EnvRecord { org, kind });
         Ok(env)
     }
 
@@ -206,7 +196,6 @@ impl RbacEngine {
         self.groups.insert(
             group,
             GroupRecord {
-                org,
                 study: study.to_owned(),
             },
         );
@@ -294,19 +283,6 @@ impl RbacEngine {
             .unwrap_or(false)
     }
 
-    /// Role names assigned to a user in a scope.
-    pub fn roles_of(&self, user: UserId, org: OrgId, env: EnvId) -> Vec<String> {
-        self.assignments
-            .get(&(user, org, env))
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// The tenant a user belongs to.
-    pub fn tenant_of(&self, user: UserId) -> Option<TenantId> {
-        self.users.get(&user).map(|u| u.tenant)
-    }
-
     /// The username of a user.
     pub fn username_of(&self, user: UserId) -> Option<&str> {
         self.users.get(&user).map(|u| u.username.as_str())
@@ -315,11 +291,6 @@ impl RbacEngine {
     /// The study name of a group.
     pub fn study_of(&self, group: GroupId) -> Option<&str> {
         self.groups.get(&group).map(|g| g.study.as_str())
-    }
-
-    /// The organization a group belongs to.
-    pub fn group_org(&self, group: GroupId) -> Option<OrgId> {
-        self.groups.get(&group).map(|g| g.org)
     }
 
     /// Environment kind lookup.
@@ -335,11 +306,6 @@ impl RbacEngine {
     /// Organization display name.
     pub fn org_name(&self, org: OrgId) -> Option<&str> {
         self.orgs.get(&org).map(|o| o.name.as_str())
-    }
-
-    /// Environment display name.
-    pub fn env_name(&self, env: EnvId) -> Option<&str> {
-        self.envs.get(&env).map(|e| e.name.as_str())
     }
 
     /// A role definition by name.
@@ -410,9 +376,7 @@ mod tests {
     fn roles_are_scoped_to_environment() {
         let (mut rbac, mut rng) = setup();
         let (tenant, org, dev) = rbac.register_tenant(&mut rng, "t");
-        let prod = rbac
-            .add_env(&mut rng, org, "prod", EnvKind::Production)
-            .unwrap();
+        let prod = rbac.add_env(&mut rng, org, EnvKind::Production).unwrap();
         let user = rbac.add_user(&mut rng, tenant, "bob").unwrap();
         rbac.assign(user, org, dev, "admin").unwrap();
         let p = Permission::new(ResourceKind::Service, Action::Admin);
@@ -437,9 +401,7 @@ mod tests {
         let (mut rbac, mut rng) = setup();
         let (tenant, org1, _env1) = rbac.register_tenant(&mut rng, "t");
         let org2 = rbac.add_org(&mut rng, tenant, "second").unwrap();
-        let env2 = rbac
-            .add_env(&mut rng, org2, "e2", EnvKind::Development)
-            .unwrap();
+        let env2 = rbac.add_env(&mut rng, org2, EnvKind::Development).unwrap();
         let user = rbac.add_user(&mut rng, tenant, "carol").unwrap();
         assert_eq!(
             rbac.assign(user, org1, env2, "admin"),

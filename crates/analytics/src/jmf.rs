@@ -96,12 +96,6 @@ impl JmfModel {
         let points: Vec<Vec<f64>> = (0..self.u.rows()).map(|i| self.u.row(i).to_vec()).collect();
         kmeans::kmeans(&points, n_groups, 50, seed).assignments
     }
-
-    /// Discovers `n_groups` disease groups by clustering rows of `V`.
-    pub fn disease_groups(&self, n_groups: usize, seed: u64) -> Vec<usize> {
-        let points: Vec<Vec<f64>> = (0..self.v.rows()).map(|i| self.v.row(i).to_vec()).collect();
-        kmeans::kmeans(&points, n_groups, 50, seed).assignments
-    }
 }
 
 fn sim_to_mat(sim: &[Vec<f64>]) -> Mat {

@@ -94,11 +94,6 @@ impl Mat {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutable row access.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Matrix product `self × other`.
     ///
     /// # Panics

@@ -21,11 +21,6 @@ pub fn install(registry: &Registry) {
     *RECORDER.lock().unwrap() = Some(registry.clone());
 }
 
-/// Removes the recorder; subsequent fits record nothing.
-pub fn uninstall() {
-    *RECORDER.lock().unwrap() = None;
-}
-
 /// Resolves a histogram handle against the installed recorder, if any.
 pub(crate) fn histogram(name: &str) -> Option<Histogram> {
     RECORDER.lock().unwrap().as_ref().map(|r| r.histogram(name))

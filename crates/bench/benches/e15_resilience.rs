@@ -2,15 +2,16 @@
 //!
 //! Measures (a) the wall-clock overhead the resilience layer adds to a
 //! fault-free ingestion run, (b) end-to-end ingestion under an active
-//! ledger partition (degraded mode: anchors buffered, then replayed),
-//! and (c) the pure-CPU cost of backoff-schedule generation.
+//! ledger partition (degraded mode: anchors stay pending in the
+//! provenance network, then commit after the heal), and (c) the
+//! pure-CPU cost of backoff-schedule generation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hc_common::clock::SimDuration;
 use hc_common::fault::{FaultInjector, FaultKind, FaultSpec};
 use hc_common::id::PatientId;
 use hc_core::platform::{demo_bundle, HealthCloudPlatform, PlatformConfig};
-use hc_ingest::pipeline::fault_points;
+use hc_ledger::consensus::FAULT_PIPELINE_PARTITION;
 use hc_resilience::RetryPolicy;
 use std::hint::black_box;
 
@@ -23,9 +24,15 @@ fn faulted_platform(partitioned: bool) -> (HealthCloudPlatform, FaultInjector) {
     platform
         .pipeline
         .enable_resilience(platform.clock.clone(), injector.clone(), 0xE15);
+    platform
+        .provenance
+        .lock()
+        .ledger_mut()
+        .cluster_mut()
+        .attach_faults(injector.clone());
     if partitioned {
         injector.schedule(
-            fault_points::LEDGER_PARTITION,
+            FAULT_PIPELINE_PARTITION,
             FaultSpec::always(FaultKind::NetworkPartition),
         );
     }
@@ -34,7 +41,6 @@ fn faulted_platform(partitioned: bool) -> (HealthCloudPlatform, FaultInjector) {
 
 fn bench_resilience(c: &mut Criterion) {
     let mut group = c.benchmark_group("e15_resilience");
-    group.sample_size(10);
 
     group.bench_function("ingest_one_resilient_fault_free", |b| {
         let (platform, _injector) = faulted_platform(false);
@@ -46,22 +52,22 @@ fn bench_resilience(c: &mut Criterion) {
         })
     });
 
-    group.bench_function("ingest_one_degraded_then_replay", |b| {
+    group.bench_function("ingest_one_degraded_then_heal", |b| {
         let (platform, injector) = faulted_platform(true);
         let device = platform.register_patient_device(PatientId::from_raw(1));
         let bundle = demo_bundle("p1", true);
         b.iter(|| {
             platform.upload(&device, &bundle).unwrap();
             platform.process_ingestion();
-            // Heal, replay the buffered anchors, and re-partition so the
+            // Heal, commit the pending anchors, and re-partition so the
             // next iteration starts degraded again.
-            injector.heal(fault_points::LEDGER_PARTITION);
-            let replayed = platform.pipeline.replay_buffered_anchors();
+            injector.heal(FAULT_PIPELINE_PARTITION);
+            let committed = platform.provenance.lock().flush();
             injector.schedule(
-                fault_points::LEDGER_PARTITION,
+                FAULT_PIPELINE_PARTITION,
                 FaultSpec::always(FaultKind::NetworkPartition),
             );
-            black_box(replayed)
+            black_box(committed)
         })
     });
 

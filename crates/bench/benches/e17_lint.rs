@@ -32,7 +32,6 @@ fn bench_lint(c: &mut Criterion) {
     let cfg = LintConfig::workspace_default();
 
     let root = workspace_root();
-    group.sample_size(10);
     group.bench_function("workspace_full", |b| {
         b.iter(|| {
             let report = analyze_workspace(black_box(&root), &cfg);
@@ -41,7 +40,6 @@ fn bench_lint(c: &mut Criterion) {
         })
     });
 
-    group.sample_size(50);
     group.bench_function("single_file_taint", |b| {
         b.iter(|| {
             let findings = analyze_source(

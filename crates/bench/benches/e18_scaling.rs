@@ -45,7 +45,6 @@ fn bench_single_thread_ops(c: &mut Criterion) {
 
 fn bench_closed_loop(c: &mut Criterion) {
     let mut group = c.benchmark_group("e18_closed_loop");
-    group.sample_size(10);
     for shards in [1usize, 32] {
         let cache = build_cache(shards);
         group.bench_function(format!("threads8_{shards}_shards"), |b| {

@@ -58,7 +58,6 @@ fn workload() -> WorkloadConfig {
 
 fn bench_closed_loop(c: &mut Criterion) {
     let mut group = c.benchmark_group("e19_closed_loop");
-    group.sample_size(10);
     for protection in [Protection::None, Protection::AdmissionOnly, Protection::Full] {
         group.bench_function(protection.label(), |b| {
             b.iter(|| {

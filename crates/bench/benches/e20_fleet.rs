@@ -82,7 +82,6 @@ fn bench_fleet_read(c: &mut Criterion) {
 /// 3-region fleet, one node crashing mid-run.
 fn bench_closed_loop(c: &mut Criterion) {
     let mut group = c.benchmark_group("e20_closed_loop");
-    group.sample_size(10);
     let at = |secs: u64| SimInstant::from_nanos(SimDuration::from_secs(secs).as_nanos());
     let config = || ServingConfig {
         cores: 32,

@@ -38,7 +38,6 @@ fn grown_ledger(blocks: u64, interval: u64) -> Ledger {
 /// the steady-state cost of a bounded-storage ledger.
 fn bench_grow_and_prune(c: &mut Criterion) {
     let mut group = c.benchmark_group("e23_grow_and_prune");
-    group.sample_size(10);
     for blocks in [128u64, 512] {
         group.bench_with_input(BenchmarkId::from_parameter(blocks), &blocks, |b, &blocks| {
             b.iter(|| {

@@ -1,7 +1,7 @@
 //! E3 — cryptographic primitive throughput: the shared-key vs
 //! hash-based-signature cost comparison behind §IV-B1.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hc_bench::payload;
 use hc_crypto::aead::{self, SecretKey};
 use hc_crypto::chacha20::{self, Nonce};
@@ -15,7 +15,6 @@ fn bench_primitives(c: &mut Criterion) {
     let mut group = c.benchmark_group("e3_primitives");
     for size in [1024usize, 65_536] {
         let data = payload(size);
-        group.throughput(Throughput::Bytes(size as u64));
         group.bench_with_input(BenchmarkId::new("sha256", size), &data, |b, d| {
             b.iter(|| black_box(sha256::hash(d)))
         });
@@ -32,7 +31,6 @@ fn bench_primitives(c: &mut Criterion) {
 
 fn bench_aead_vs_signature(c: &mut Criterion) {
     let mut group = c.benchmark_group("e3_aead_vs_signature");
-    group.sample_size(10);
     let key = SecretKey::from_bytes([9u8; 32]);
     for size in [1024usize, 16_384] {
         let data = payload(size);

@@ -57,7 +57,6 @@ fn bench_ledger_submit(c: &mut Criterion) {
 
 fn bench_verify_chain(c: &mut Criterion) {
     let mut group = c.benchmark_group("e4_verify_chain");
-    group.sample_size(10);
     for height in [64usize, 512] {
         let cluster = PipelinedCluster::new(4, 1, SimClock::new()).unwrap();
         let mut ledger = Ledger::new(cluster);
@@ -85,7 +84,6 @@ fn bench_pipelined_propose(c: &mut Criterion) {
 
 fn bench_submit_stream(c: &mut Criterion) {
     let mut group = c.benchmark_group("e4_submit_stream");
-    group.sample_size(20);
     for workers in [1usize, 4] {
         group.bench_with_input(
             BenchmarkId::new("workers", workers),

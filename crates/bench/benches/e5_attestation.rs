@@ -15,7 +15,6 @@ fn stack(depth: usize) -> Vec<Component> {
 
 fn bench_boot_and_attest(c: &mut Criterion) {
     let mut group = c.benchmark_group("e5_boot_attest");
-    group.sample_size(10);
     for depth in [1usize, 4] {
         let stack = stack(depth);
         group.bench_with_input(BenchmarkId::new("full_cycle", depth), &stack, |b, stack| {
@@ -47,7 +46,6 @@ fn bench_components(c: &mut Criterion) {
         let quote = measured_boot(&mut t, &stack, b"n").unwrap();
         b.iter(|| black_box(tpm::verify_quote_signature(&quote)))
     });
-    group.sample_size(10);
     group.bench_function("vtpm_spawn_and_certify", |b| {
         let mut rng = hc_common::rng::seeded(7);
         let mut hw = Tpm::generate(&mut rng, "hw");

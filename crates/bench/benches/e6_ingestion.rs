@@ -7,7 +7,6 @@ use std::hint::black_box;
 
 fn bench_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("e6_ingestion");
-    group.sample_size(10);
 
     group.bench_function("upload_and_process_one", |b| {
         let platform = HealthCloudPlatform::bootstrap(PlatformConfig {

@@ -22,7 +22,6 @@ fn cohort(n: usize) -> Vec<QiRecord> {
 
 fn bench_mondrian(c: &mut Criterion) {
     let mut group = c.benchmark_group("e7_mondrian");
-    group.sample_size(10);
     let records = cohort(2_000);
     for k in [2usize, 10, 50] {
         group.bench_with_input(BenchmarkId::new("k", k), &k, |b, &k| {

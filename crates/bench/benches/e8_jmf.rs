@@ -10,7 +10,6 @@ use std::hint::black_box;
 
 fn bench_fit(c: &mut Criterion) {
     let mut group = c.benchmark_group("e8_fit");
-    group.sample_size(10);
     let bank = Biobank::generate(
         &BiobankConfig {
             n_drugs: 60,
@@ -47,7 +46,6 @@ fn bench_fit(c: &mut Criterion) {
 
 fn bench_similarity_sources(c: &mut Criterion) {
     let mut group = c.benchmark_group("e8_similarity_matrices");
-    group.sample_size(10);
     let bank = Biobank::generate(
         &BiobankConfig {
             n_drugs: 120,

@@ -7,7 +7,6 @@ use std::hint::black_box;
 
 fn bench_delt(c: &mut Criterion) {
     let mut group = c.benchmark_group("e9_delt_fit");
-    group.sample_size(10);
     for patients in [200usize, 800] {
         let cohort = EmrCohort::generate(
             EmrConfig {
@@ -32,7 +31,6 @@ fn bench_delt(c: &mut Criterion) {
 
 fn bench_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("e9_cohort_generation");
-    group.sample_size(10);
     group.bench_function("generate_500", |b| {
         b.iter(|| {
             black_box(

@@ -499,11 +499,6 @@ where
         &self.stats
     }
 
-    /// Number of nodes ever added (including crashed/decommissioned).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// A node's topology location.
     ///
     /// # Panics

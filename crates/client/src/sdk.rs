@@ -133,11 +133,6 @@ impl EnhancedClient {
         self.tier_slos[tier.index()] = slo; // hc-lint: allow(panic-index)
     }
 
-    /// Whether the client is currently disconnected.
-    pub fn is_offline(&self) -> bool {
-        self.offline
-    }
-
     /// Disconnects the client; subsequent writes queue locally.
     pub fn go_offline(&mut self) {
         self.offline = true;

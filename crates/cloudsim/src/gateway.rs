@@ -156,13 +156,6 @@ impl IntercloudGateway {
         });
     }
 
-    /// Overrides the network model.
-    #[must_use]
-    pub fn with_network(mut self, net: NetworkModel) -> Self {
-        self.net = net;
-        self
-    }
-
     /// Attaches a fault injector; a fault scheduled at
     /// [`INTERCLOUD_PARTITION`] severs the WAN link for its window.
     pub fn set_fault_injector(&mut self, injector: FaultInjector) {

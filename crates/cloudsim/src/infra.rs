@@ -169,15 +169,6 @@ impl InfraCloud {
         self.hosts.iter().find(|h| h.id == host).map(|h| h.up)
     }
 
-    /// Ids of the hosts in a region.
-    pub fn hosts_in_region(&self, region: usize) -> Vec<HostId> {
-        self.hosts
-            .iter()
-            .filter(|h| h.location.region == region)
-            .map(|h| h.id)
-            .collect()
-    }
-
     /// Provisions a VM with `cores` cores in `region`, first-fit.
     ///
     /// # Errors

@@ -72,12 +72,6 @@ impl ZipfStream {
     pub fn next_key(&mut self) -> usize {
         zipf_key(&mut self.rng, self.n)
     }
-
-    /// Draws a uniform value in `[0, 1)` from the same stream (for
-    /// mixed-operation coin flips, e.g. read-vs-write).
-    pub fn next_coin(&mut self) -> f64 {
-        self.rng.gen_range(0.0..1.0)
-    }
 }
 
 /// Draws a Zipf(≈1) key over `n` keys from any RNG.

@@ -3,11 +3,11 @@
 //! A [`FaultInjector`] is a shared registry of scheduled faults keyed by
 //! *fault point* — a stable string name a subsystem consults at a
 //! vulnerable moment (`"ingest.decrypt"`, `"wal.append"`,
-//! `"ledger.partition"`, …). Faults fire on the [`SimClock`] timeline
-//! from a seeded RNG, so a fault schedule replays bit-for-bit: the same
-//! seed and the same sequence of `check` calls produce the same event
-//! trace, which is what lets resilience experiments assert recovery
-//! behavior instead of chasing nondeterminism.
+//! `"ledger.pipeline.partition"`, …). Faults fire on the [`SimClock`]
+//! timeline from a seeded RNG, so a fault schedule replays bit-for-bit:
+//! the same seed and the same sequence of `check` calls produce the same
+//! event trace, which is what lets resilience experiments assert
+//! recovery behavior instead of chasing nondeterminism.
 //!
 //! Two consumption models coexist:
 //!
@@ -168,11 +168,6 @@ impl FaultInjector {
     /// An injector that never fires; every call is a cheap no-op.
     pub fn disabled() -> Self {
         FaultInjector { inner: None }
-    }
-
-    /// Whether this injector can fire at all.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// Schedules `spec` at `point`. Multiple specs may coexist at one

@@ -70,11 +70,6 @@ pub enum Alarm {
         /// The breaker's registered name.
         name: String,
     },
-    /// Anchor transactions are buffered awaiting ledger reachability.
-    AnchorsBuffered {
-        /// Anchors waiting for replay (`ingest.anchors.buffered`).
-        count: i64,
-    },
 }
 
 /// Collects a health report from a running platform.
@@ -148,8 +143,7 @@ pub const DLQ_BACKLOG_THRESHOLD: i64 = 3;
 /// * `ingest.dlq.depth` ≥ [`DLQ_BACKLOG_THRESHOLD`] →
 ///   [`Alarm::DeadLetterBacklog`];
 /// * any `resilience.breaker.<name>.state` gauge at
-///   `Open` → [`Alarm::BreakerOpen`];
-/// * `ingest.anchors.buffered` > 0 → [`Alarm::AnchorsBuffered`].
+///   `Open` → [`Alarm::BreakerOpen`].
 pub fn alarms_with_telemetry(
     report: &HealthReport,
     telemetry: &TelemetrySnapshot,
@@ -169,11 +163,6 @@ pub fn alarms_with_telemetry(
         };
         if gauge.value == hc_resilience::BreakerState::Open.as_gauge() {
             raised.push(Alarm::BreakerOpen { name: name.to_string() });
-        }
-    }
-    if let Some(count) = telemetry.gauge("ingest.anchors.buffered") {
-        if count > 0 {
-            raised.push(Alarm::AnchorsBuffered { count });
         }
     }
     raised
@@ -218,20 +207,27 @@ mod tests {
     #[test]
     fn health_state_machine_degrades_and_recovers() {
         use hc_common::fault::{FaultInjector, FaultKind, FaultSpec};
-        use hc_ingest::pipeline::fault_points;
+        use hc_ledger::consensus::FAULT_PIPELINE_PARTITION;
         use hc_resilience::SubsystemStatus;
 
-        let platform = HealthCloudPlatform::bootstrap(PlatformConfig::default());
+        let platform = HealthCloudPlatform::bootstrap(PlatformConfig {
+            ledger_batch: 1,
+            ..PlatformConfig::default()
+        });
         let injector = FaultInjector::new(platform.clock.clone(), 0xAB);
         platform
-            .pipeline
-            .enable_resilience(platform.clock.clone(), injector.clone(), 77);
+            .provenance
+            .lock()
+            .ledger_mut()
+            .cluster_mut()
+            .attach_faults(injector.clone());
         assert_eq!(platform.refresh_health(), hc_resilience::HealthState::Healthy);
 
-        // Partition the provenance ledger mid-ingestion: anchors buffer,
-        // the pipeline keeps storing, and the platform reports Degraded.
+        // Partition the provenance ledger mid-ingestion: anchors stay
+        // pending, the pipeline keeps storing, and the platform reports
+        // Degraded.
         injector.schedule(
-            fault_points::LEDGER_PARTITION,
+            FAULT_PIPELINE_PARTITION,
             FaultSpec::always(FaultKind::NetworkPartition),
         );
         let device = platform.register_patient_device(PatientId::from_raw(5));
@@ -255,9 +251,11 @@ mod tests {
         );
         platform.set_subsystem_status("storage", SubsystemStatus::Up);
 
-        // Heal the partition, replay the buffered anchors: Healthy again.
-        injector.heal(fault_points::LEDGER_PARTITION);
-        assert!(platform.pipeline.replay_buffered_anchors() > 0);
+        // Heal the partition; the next flush commits the pending
+        // anchors: Healthy again.
+        injector.heal(FAULT_PIPELINE_PARTITION);
+        assert_eq!(platform.verify_ledger(), ChainStatus::Valid);
+        assert_eq!(platform.provenance.lock().pending_count(), 0);
         let report = collect(&platform);
         assert_eq!(report.health, hc_resilience::HealthState::Healthy);
         assert!(alarms(&report).is_empty(), "{:?}", alarms(&report));
@@ -284,7 +282,6 @@ mod tests {
         registry
             .gauge("resilience.breaker.ledger.state")
             .set(hc_resilience::BreakerState::Open.as_gauge());
-        registry.gauge("ingest.anchors.buffered").set(2);
         let raised = alarms_with_telemetry(&report, &registry.snapshot());
         assert!(raised.contains(&Alarm::DeadLetterBacklog {
             depth: DLQ_BACKLOG_THRESHOLD
@@ -292,7 +289,6 @@ mod tests {
         assert!(raised.contains(&Alarm::BreakerOpen {
             name: "ledger".into()
         }));
-        assert!(raised.contains(&Alarm::AnchorsBuffered { count: 2 }));
     }
 
     #[test]

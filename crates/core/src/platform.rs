@@ -165,7 +165,7 @@ impl HealthCloudPlatform {
         let mut rbac = RbacEngine::new();
         let (tenant, org, _dev_env) = rbac.register_tenant(&mut rng, &config.tenant_name);
         let prod_env = rbac
-            .add_env(&mut rng, org, "prod", EnvKind::Production)
+            .add_env(&mut rng, org, EnvKind::Production)
             .expect("org exists");
         let study = rbac
             .add_group(&mut rng, org, &config.study_name)
@@ -253,18 +253,21 @@ impl HealthCloudPlatform {
     ///   [`HealthState::Unavailable`]).
     /// * `storage` — `Down` when the data lake diverges from its WAL
     ///   (critical), e.g. after a crash mid-append before recovery.
-    /// * `ingest` — [`SubsystemStatus::Degraded`] while the pipeline is
-    ///   buffering provenance anchors through a ledger partition.
+    /// * `ingest` — [`SubsystemStatus::Degraded`] while the provenance
+    ///   network holds events that a consensus failure left pending
+    ///   (e.g. through a ledger partition).
     ///
     /// Other subsystems (e.g. `ai-services`) are reported externally via
     /// [`set_subsystem_status`](Self::set_subsystem_status).
     pub fn refresh_health(&self) -> HealthState {
-        let ledger_ok = matches!(
-            self.provenance.lock().ledger().verify_chain(),
-            ChainStatus::Valid
-        );
+        let (ledger_ok, ingest_degraded) = {
+            let provenance = self.provenance.lock();
+            (
+                matches!(provenance.ledger().verify_chain(), ChainStatus::Valid),
+                provenance.is_stalled(),
+            )
+        };
         let storage_ok = self.lake.lock().verify_against_wal().is_empty();
-        let ingest_degraded = self.pipeline.is_degraded();
         let mut health = self.health.lock();
         health.set_status(
             "ledger",
@@ -446,7 +449,10 @@ impl HealthCloudPlatform {
     /// Flushes pending provenance events and re-verifies the whole chain.
     pub fn verify_ledger(&self) -> ChainStatus {
         let mut provenance = self.provenance.lock();
-        let _ = provenance.flush(); // empty batch is fine
+        // Nothing pending, or a consensus failure that keeps the events
+        // pending for a later flush: either way the committed chain is
+        // what gets verified.
+        let _ = provenance.flush();
         provenance.ledger().verify_chain()
     }
 

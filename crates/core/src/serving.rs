@@ -746,15 +746,6 @@ impl TierStats {
             self.shed.iter().sum::<u64>() as f64 / self.offered as f64
         }
     }
-
-    /// Fraction of offered requests served within SLO.
-    pub fn goodput_ratio(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            self.within_slo as f64 / self.offered as f64
-        }
-    }
 }
 
 /// One report segment (the whole run or a labelled window).

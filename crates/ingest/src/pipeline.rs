@@ -86,9 +86,6 @@ pub mod fault_points {
     pub const DEID: &str = "ingest.deid";
     /// Encrypt-at-rest and data-lake write.
     pub const STORE: &str = "ingest.store";
-    /// Stateful partition between the pipeline and the provenance
-    /// ledger: while active, anchors are buffered, not recorded.
-    pub const LEDGER_PARTITION: &str = "ledger.partition";
 }
 
 /// Counters the monitoring service scrapes.
@@ -112,10 +109,6 @@ pub struct PipelineStats {
     pub retried: u64,
     /// Uploads parked in the dead-letter queue.
     pub dead_lettered: u64,
-    /// Provenance anchors buffered while the ledger was unreachable.
-    pub anchors_buffered: u64,
-    /// Buffered anchors successfully replayed after the ledger healed.
-    pub anchors_replayed: u64,
 }
 
 /// State shared between the pipeline and the export service.
@@ -210,8 +203,6 @@ struct PipelineInstruments {
     retries: hc_telemetry::Counter,
     queue_depth: hc_telemetry::Gauge,
     dlq_depth: hc_telemetry::Gauge,
-    anchors_buffered: hc_telemetry::Gauge,
-    anchors_replayed: hc_telemetry::Counter,
     pool_workers: hc_telemetry::Gauge,
     pool_in_flight: hc_telemetry::Gauge,
     pool_reorder_depth: hc_telemetry::Gauge,
@@ -224,7 +215,6 @@ struct Resilience {
     retry: RetryPolicy,
     rng: rand::rngs::StdRng,
     dlq: DeadLetterQueue<Job>,
-    buffered_anchors: Vec<ProvenanceEvent>,
 }
 
 /// The ingestion pipeline.
@@ -324,8 +314,6 @@ impl IngestionPipeline {
             retries: registry.counter("ingest.retry.count"),
             queue_depth: registry.gauge("ingest.queue.depth"),
             dlq_depth: registry.gauge("ingest.dlq.depth"),
-            anchors_buffered: registry.gauge("ingest.anchors.buffered"),
-            anchors_replayed: registry.counter("ingest.anchors.replayed"),
             pool_workers: registry.gauge("ingest.pool.workers"),
             pool_in_flight: registry.gauge("ingest.pool.in_flight"),
             pool_reorder_depth: registry.gauge("ingest.pool.reorder_depth"),
@@ -338,9 +326,8 @@ impl IngestionPipeline {
     }
 
     /// Turns on the resilience layer: stage-level retries against
-    /// `injector` faults, dead-lettering of poison uploads, and
-    /// buffering of provenance anchors while `ledger.partition` is
-    /// active (degraded mode). Backoff delays advance `clock`.
+    /// `injector` faults and dead-lettering of poison uploads. Backoff
+    /// delays advance `clock`.
     pub fn enable_resilience(&self, clock: SimClock, injector: FaultInjector, seed: u64) {
         *self.resilience.lock() = Some(Resilience {
             clock,
@@ -348,63 +335,7 @@ impl IngestionPipeline {
             retry: RetryPolicy::new(4, hc_common::clock::SimDuration::from_micros(100)),
             rng: hc_common::rng::seeded_stream(seed, 911),
             dlq: DeadLetterQueue::new(256),
-            buffered_anchors: Vec::new(),
         });
-    }
-
-    /// Replaces the per-stage retry policy (resilience must be enabled).
-    pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        if let Some(res) = self.resilience.lock().as_mut() {
-            res.retry = policy;
-        }
-    }
-
-    /// Whether the pipeline is operating in degraded mode (anchors
-    /// buffered, waiting for the ledger partition to heal).
-    pub fn is_degraded(&self) -> bool {
-        self.resilience
-            .lock()
-            .as_ref()
-            .is_some_and(|r| !r.buffered_anchors.is_empty())
-    }
-
-    /// Number of provenance anchors currently buffered.
-    pub fn buffered_anchor_count(&self) -> usize {
-        self.resilience
-            .lock()
-            .as_ref()
-            .map_or(0, |r| r.buffered_anchors.len())
-    }
-
-    /// Replays buffered anchors onto the (healed) ledger, oldest first,
-    /// stopping at the first anchor that still fails. Returns how many
-    /// committed.
-    pub fn replay_buffered_anchors(&self) -> usize {
-        let events = match self.resilience.lock().as_mut() {
-            Some(res) => std::mem::take(&mut res.buffered_anchors),
-            None => return 0,
-        };
-        let mut replayed = 0;
-        let mut remaining = events.into_iter();
-        for event in remaining.by_ref() {
-            let outcome = self.shared.provenance.lock().record(&event);
-            if outcome.is_ok() {
-                replayed += 1;
-                self.stats.lock().anchors_replayed += 1;
-            } else {
-                // Still partitioned: put this one back and stop.
-                if let Some(res) = self.resilience.lock().as_mut() {
-                    res.buffered_anchors.push(event);
-                    res.buffered_anchors.extend(remaining);
-                }
-                break;
-            }
-        }
-        if let Some(inst) = self.instruments() {
-            inst.anchors_replayed.add(replayed as u64);
-            inst.anchors_buffered.set(self.buffered_anchor_count() as i64);
-        }
-        replayed
     }
 
     /// Dead letters currently parked, as `(ingestion, reason)` pairs.
@@ -444,11 +375,6 @@ impl IngestionPipeline {
             self.statuses.lock().insert(letter.item.id, outcome);
         }
         report
-    }
-
-    /// Replaces the malware scanner (e.g. to add signatures).
-    pub fn set_scanner(&mut self, scanner: MalwareScanner) {
-        self.scanner = scanner;
     }
 
     /// Registers a patient device: issues its KMS key, authorized for the
@@ -679,37 +605,10 @@ impl IngestionPipeline {
         }
     }
 
-    /// Anchors a provenance event, buffering it instead when the ledger
-    /// is partitioned (injected or real) and resilience is enabled.
+    /// Anchors a provenance event. A consensus failure leaves it pending
+    /// in the provenance network, which commits it after the heal.
     fn anchor(&self, event: ProvenanceEvent) {
-        {
-            let mut guard = self.resilience.lock();
-            if let Some(res) = guard.as_mut() {
-                if res.injector.is_active(fault_points::LEDGER_PARTITION) {
-                    res.buffered_anchors.push(event);
-                    let depth = res.buffered_anchors.len();
-                    self.stats.lock().anchors_buffered += 1;
-                    if let Some(inst) = self.instruments() {
-                        inst.anchors_buffered.set(depth as i64);
-                    }
-                    return;
-                }
-            }
-        }
-        let outcome = self.shared.provenance.lock().record(&event);
-        if outcome.is_err() {
-            // A real consensus failure (e.g. partitioned quorum): the
-            // network dropped the batch, so keep our copy for replay.
-            let mut guard = self.resilience.lock();
-            if let Some(res) = guard.as_mut() {
-                res.buffered_anchors.push(event);
-                let depth = res.buffered_anchors.len();
-                self.stats.lock().anchors_buffered += 1;
-                if let Some(inst) = self.instruments() {
-                    inst.anchors_buffered.set(depth as i64);
-                }
-            }
-        }
+        let _ = self.shared.provenance.lock().record(&event);
     }
 
     fn dead_letter_status(stage: &str, reason: String) -> IngestionStatus {
@@ -1401,37 +1300,41 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn ledger_partition_buffers_anchors_then_replays() {
+    fn ledger_partition_leaves_anchors_pending_until_the_heal() {
         use hc_common::fault::{FaultKind, FaultSpec};
+        use hc_ledger::consensus::FAULT_PIPELINE_PARTITION;
         let pipeline = build_pipeline(13);
-        let clock = SimClock::new();
-        let injector = hc_common::fault::FaultInjector::new(clock.clone(), 13);
+        let injector = hc_common::fault::FaultInjector::new(SimClock::new(), 13);
         injector.schedule(
-            fault_points::LEDGER_PARTITION,
+            FAULT_PIPELINE_PARTITION,
             FaultSpec::always(FaultKind::NetworkPartition),
         );
-        pipeline.enable_resilience(clock, injector.clone(), 13);
+        pipeline
+            .shared
+            .provenance
+            .lock()
+            .ledger_mut()
+            .cluster_mut()
+            .attach_faults(injector.clone());
         let credential = pipeline.register_device(PatientId::from_raw(5));
         let sealed = pipeline.seal_upload(&credential, &patient_bundle(true)).unwrap();
         let url = pipeline.submit(credential, sealed);
         pipeline.process_all();
-        // Data accepted in degraded mode; nothing anchored yet.
+        // Data accepted through the partition; nothing anchored yet.
         let IngestionStatus::Stored { references } = pipeline.status(url).unwrap() else {
             panic!("stored despite partition");
         };
-        assert!(pipeline.is_degraded());
+        let mut provenance = pipeline.shared.provenance.lock();
         // consent + ingested + anonymized
-        assert_eq!(pipeline.buffered_anchor_count(), 3);
-        let provenance = pipeline.shared.provenance.lock();
+        assert_eq!(provenance.pending_count(), 3);
+        assert!(provenance.is_stalled());
         assert!(AuditorView::new(provenance.ledger())
             .record_history(references[0])
             .is_empty());
-        drop(provenance);
-        // Heal and replay: zero provenance loss.
-        injector.heal(fault_points::LEDGER_PARTITION);
-        assert_eq!(pipeline.replay_buffered_anchors(), 3);
-        assert!(!pipeline.is_degraded());
-        let provenance = pipeline.shared.provenance.lock();
+        // Heal: the next flush commits every pending event.
+        injector.heal(FAULT_PIPELINE_PARTITION);
+        provenance.flush().unwrap();
+        assert_eq!(provenance.pending_count(), 0);
         let history = AuditorView::new(provenance.ledger()).record_history(references[0]);
         assert_eq!(history.len(), 2);
         assert_eq!(history[0].action, ProvenanceAction::Ingested);

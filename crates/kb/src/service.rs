@@ -53,14 +53,6 @@ impl KnowledgeBaseService {
         }
     }
 
-    /// Overrides the latency model.
-    #[must_use]
-    pub fn with_latencies(mut self, remote: SimDuration, local: SimDuration) -> Self {
-        self.remote_latency = remote;
-        self.local_latency = local;
-        self
-    }
-
     /// Looks up a drug, going to the cache first.
     pub fn drug(&mut self, index: usize) -> KbAnswer<Drug> {
         if let Some(hit) = self.drug_cache.get(&index) {

@@ -643,11 +643,27 @@ impl Ledger {
     /// Fails on policy violations or when too many peers are unreachable
     /// for a quorum; nothing is appended in those cases.
     pub fn submit(&mut self, transactions: Vec<Transaction>) -> Result<ConsensusOutcome, LedgerError> {
-        Self::validate_batch(&self.policies, &transactions)?;
-        let outcome = self.cluster.propose()?;
+        let outcome = self.propose(&transactions)?;
+        self.append(transactions);
+        Ok(outcome)
+    }
+
+    /// The first half of [`Ledger::submit`]: validates a batch against
+    /// channel policies and runs consensus on it. Appends nothing; on
+    /// success the caller hands the same batch to [`Ledger::append`].
+    pub(crate) fn propose(
+        &mut self,
+        transactions: &[Transaction],
+    ) -> Result<ConsensusOutcome, LedgerError> {
+        Self::validate_batch(&self.policies, transactions)?;
+        Ok(self.cluster.propose()?)
+    }
+
+    /// The second half of [`Ledger::submit`]: appends a batch that
+    /// [`Ledger::propose`] has just committed.
+    pub(crate) fn append(&mut self, transactions: Vec<Transaction>) {
         let merkle_root = Block::transactions_root(&transactions);
         self.append_block(merkle_root, transactions);
-        Ok(outcome)
     }
 
     /// Commits a stream of batches with block *validation* (policy

@@ -25,7 +25,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::cfg::{build_cfg, Cfg, StmtKind};
+use crate::cfg::{build_cfg, StmtKind};
 use crate::config::{snake_case, LintConfig};
 use crate::lexer::{Tok, TokKind};
 use crate::parser::FnDecl;
@@ -238,12 +238,6 @@ pub fn is_sanitizer_fn(f: &FnDecl) -> bool {
         || f.qual
             .split(':')
             .any(|seg| !seg.is_empty() && any_word(seg, SANITIZER_WORDS))
-}
-
-/// Builds the CFG for a parsed function (convenience used by the lock
-/// rules, which share the graph construction with the taint engine).
-pub fn cfg_for(f: &FnDecl) -> Cfg {
-    build_cfg(&f.body)
 }
 
 fn merge_into(dst: &mut Env, src: &Env) -> bool {

@@ -70,11 +70,6 @@ pub fn zip_prefix(zip: &str, keep: usize) -> String {
     out
 }
 
-/// Generalizes a simulated day number to its year.
-pub fn day_to_year(day: u32) -> u32 {
-    day / 365
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -108,7 +108,6 @@ pub struct AdmissionController {
     tokens: f64,
     refilled_at: SimInstant,
     reserves: [f64; 3],
-    admitted: [u64; 3],
     rejected: [u64; 3],
     instruments: Option<std::sync::Arc<AdmissionInstruments>>,
 }
@@ -133,7 +132,6 @@ impl AdmissionController {
             tokens: burst,
             refilled_at: now,
             reserves: [0.0, 0.05, 0.25],
-            admitted: [0; 3],
             rejected: [0; 3],
             instruments: None,
         }
@@ -188,7 +186,6 @@ impl AdmissionController {
         let floor = self.reserves[tier.index()] * self.burst; // hc-lint: allow(panic-index)
         let decision = if self.tokens >= 1.0 + floor {
             self.tokens -= 1.0;
-            self.admitted[tier.index()] += 1; // hc-lint: allow(panic-index)
             Admission::Admitted
         } else {
             self.rejected[tier.index()] += 1; // hc-lint: allow(panic-index)
@@ -214,11 +211,6 @@ impl AdmissionController {
     pub fn tokens(&mut self) -> f64 {
         self.refill();
         self.tokens
-    }
-
-    /// Requests admitted for a tier so far.
-    pub fn admitted_count(&self, tier: Tier) -> u64 {
-        self.admitted[tier.index()] // hc-lint: allow(panic-index)
     }
 
     /// Requests rejected for a tier so far.

@@ -193,11 +193,6 @@ impl LoadShedder {
         shed
     }
 
-    /// The smoothed queue-delay estimate.
-    pub fn delay_estimate(&self) -> SimDuration {
-        SimDuration::from_nanos(self.smoothed_ns as u64)
-    }
-
     /// State transitions (calm → shedding and back) so far.
     pub fn transitions(&self) -> u64 {
         self.transitions
@@ -259,7 +254,6 @@ pub struct DegradedMode {
     window_start: SimInstant,
     offered: u64,
     shed: u64,
-    last_rate: f64,
     hot_streak: u32,
     calm_streak: u32,
     degraded: bool,
@@ -286,7 +280,6 @@ impl DegradedMode {
             window_start: now,
             offered: 0,
             shed: 0,
-            last_rate: 0.0,
             hot_streak: 0,
             calm_streak: 0,
             degraded: false,
@@ -331,7 +324,6 @@ impl DegradedMode {
             } else {
                 self.shed as f64 / self.offered as f64
             };
-            self.last_rate = rate;
             if rate >= self.cfg.enter_above {
                 self.hot_streak += 1;
                 self.calm_streak = 0;
@@ -378,11 +370,6 @@ impl DegradedMode {
     pub fn is_degraded(&self) -> bool {
         hc_common::conc::mc::read("shed.degraded");
         self.degraded
-    }
-
-    /// The shed fraction of the last closed window.
-    pub fn last_window_rate(&self) -> f64 {
-        self.last_rate
     }
 
     /// Healthy↔degraded transitions so far.

@@ -172,14 +172,6 @@ impl DataLake {
         self.injector = injector;
     }
 
-    /// Overrides tier access latencies.
-    #[must_use]
-    pub fn with_tier_latencies(mut self, hot: SimDuration, cold: SimDuration) -> Self {
-        self.hot_latency = hot;
-        self.cold_latency = cold;
-        self
-    }
-
     /// Stores a new record on the hot tier, returning its reference id.
     pub fn put<R: Rng + ?Sized>(
         &mut self,

@@ -2,10 +2,10 @@
 //!
 //! Implements the group-based API the workspace's benches use —
 //! `benchmark_group`, `bench_function`, `bench_with_input`,
-//! `sample_size`, `throughput`, `BenchmarkId`, the `criterion_group!` /
-//! `criterion_main!` macros — with a simple warm-up + measure loop over
-//! `std::time::Instant`. No statistics, plots or baselines: each
-//! benchmark reports one mean ns/iter line. `--test` mode (what
+//! `BenchmarkId`, the `criterion_group!` / `criterion_main!` macros —
+//! with a simple warm-up + measure loop over `std::time::Instant`. No
+//! sampling knobs, statistics, plots or baselines: each benchmark sizes
+//! its own measurement batch and reports one mean ns/iter line. `--test` mode (what
 //! `cargo bench -- --test` passes) runs every routine exactly once so CI
 //! can validate benches cheaply.
 
@@ -24,11 +24,6 @@ impl Criterion {
         Criterion {
             test_mode: std::env::args().any(|a| a == "--test"),
         }
-    }
-
-    /// Whether the harness runs in single-iteration validation mode.
-    pub fn is_test_mode(&self) -> bool {
-        self.test_mode
     }
 
     /// Opens a named group of related benchmarks.
@@ -51,15 +46,6 @@ impl Default for Criterion {
     fn default() -> Self {
         Criterion::from_args()
     }
-}
-
-/// Declared throughput for a group, echoed in reports.
-#[derive(Clone, Copy, Debug)]
-pub enum Throughput {
-    /// Bytes processed per iteration.
-    Bytes(u64),
-    /// Elements processed per iteration.
-    Elements(u64),
 }
 
 /// A benchmark's display identifier.
@@ -104,22 +90,6 @@ pub struct BenchmarkGroup<'a> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Accepted for API compatibility; the shim sizes its own samples.
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
-    /// Accepted for API compatibility; reported throughput is not
-    /// currently derived in the shim's one-line output.
-    pub fn throughput(&mut self, _throughput: Throughput) -> &mut Self {
-        self
-    }
-
-    /// Accepted for API compatibility.
-    pub fn measurement_time(&mut self, _t: Duration) -> &mut Self {
-        self
-    }
-
     /// Benchmarks `f` under `id`.
     pub fn bench_function<F: FnMut(&mut Bencher)>(
         &mut self,

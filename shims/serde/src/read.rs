@@ -17,7 +17,8 @@ pub(crate) enum Number {
     Uint(u128),
     /// A negative integer.
     Int(i128),
-    /// Any token with a point, an exponent or an inner sign.
+    /// Any token with a point, an exponent or an inner sign, and an
+    /// integer token too large for `u128`/`i128`.
     Float(f64),
 }
 
@@ -144,7 +145,10 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a number token: digits with an optional leading `-`, where
-    /// any `.`, `e`, `E`, `+` or inner `-` makes it a float.
+    /// any `.`, `e`, `E`, `+` or inner `-` makes it a float. An integer
+    /// token out of `u128`/`i128` range also reads as a float, since
+    /// [`Writer::f64`](crate::Writer::f64) writes large whole floats
+    /// without a point.
     pub(crate) fn number(&mut self, expected: &str) -> Result<Number, DeError> {
         if !matches!(self.peek()?, b'-' | b'0'..=b'9') {
             return Err(self.unexpected(expected));
@@ -167,18 +171,21 @@ impl<'a> Reader<'a> {
         }
         // The token is ASCII, so both ends are char boundaries.
         let text = &self.text[start..self.pos];
-        let invalid = || DeError::syntax(format!("invalid number `{text}`"));
+        let float = || {
+            text.parse()
+                .map(Number::Float)
+                .map_err(|_| DeError::syntax(format!("invalid number `{text}`")))
+        };
         if is_float {
-            text.parse().map(Number::Float).map_err(|_| invalid())
-        } else if let Some(digits) = text.strip_prefix('-') {
-            let magnitude: i128 = digits.parse().map_err(|_| invalid())?;
-            Ok(if magnitude == 0 {
-                Number::Uint(0)
-            } else {
-                Number::Int(-magnitude)
-            })
+            float()
+        } else if text.starts_with('-') {
+            match text.parse() {
+                Ok(0) => Ok(Number::Uint(0)),
+                Ok(value) => Ok(Number::Int(value)),
+                Err(_) => float(),
+            }
         } else {
-            text.parse().map(Number::Uint).map_err(|_| invalid())
+            text.parse().map(Number::Uint).or_else(|_| float())
         }
     }
 
@@ -251,19 +258,18 @@ impl<'a> Reader<'a> {
     fn unicode_escape(&mut self) -> Result<char, DeError> {
         let hi = self.hex4()?;
         let code = if (0xD800..0xDC00).contains(&hi) {
-            // Surrogate pair: require a second escape.
-            if self.bytes().get(self.pos) == Some(&b'\\')
-                && self.bytes().get(self.pos + 1) == Some(&b'u')
+            // Surrogate pair: require a second escape, a low surrogate.
+            if self.bytes().get(self.pos) != Some(&b'\\')
+                || self.bytes().get(self.pos + 1) != Some(&b'u')
             {
-                self.pos += 2;
-                let lo = self.hex4()?;
-                // 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00), summed
-                // so that no step underflows. A second escape outside
-                // the low-surrogate range still yields a code point.
-                0x2400 + ((hi - 0xD800) << 10) + lo
-            } else {
                 return Err(DeError::syntax("unpaired surrogate"));
             }
+            self.pos += 2;
+            let lo = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&lo) {
+                return Err(DeError::syntax("unpaired surrogate"));
+            }
+            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
         } else {
             hi
         };
@@ -275,8 +281,14 @@ impl<'a> Reader<'a> {
             .bytes()
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| DeError::syntax("truncated \\u escape"))?;
-        let s = std::str::from_utf8(chunk).map_err(|_| DeError::syntax("invalid \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| DeError::syntax("invalid \\u escape"))?;
+        // Exactly four hex digits: `from_str_radix` alone would take a
+        // leading `+`.
+        let v = chunk.iter().try_fold(0u32, |v, &b| {
+            char::from(b)
+                .to_digit(16)
+                .map(|d| v << 4 | d)
+                .ok_or_else(|| DeError::syntax("invalid \\u escape"))
+        })?;
         self.pos += 4;
         Ok(v)
     }

@@ -333,10 +333,10 @@ mod oracle {
                             {
                                 self.pos += 2;
                                 let lo = self.hex4()?;
-                                // `lo - 0xDC00` on its own would panic in
-                                // debug builds for `lo` below 0xDC00; this
-                                // is the value release builds compute.
-                                (0x10000 + ((hi - 0xD800) << 10) + lo).wrapping_sub(0xDC00)
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(Error::new("unpaired surrogate"));
+                                }
+                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                             } else {
                                 return Err(Error::new("unpaired surrogate"));
                             }
@@ -359,6 +359,9 @@ mod oracle {
                 .bytes
                 .get(self.pos..self.pos + 4)
                 .ok_or_else(|| Error::new("truncated \\u escape"))?;
+            if !chunk.iter().all(u8::is_ascii_hexdigit) {
+                return Err(Error::new("invalid \\u escape"));
+            }
             let s = std::str::from_utf8(chunk).map_err(|_| Error::new("invalid \\u escape"))?;
             let v = u32::from_str_radix(s, 16).map_err(|_| Error::new("invalid \\u escape"))?;
             self.pos += 4;
@@ -382,25 +385,26 @@ mod oracle {
                 }
             }
             let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-            if is_float {
+            let float = || {
                 let f: f64 = text
                     .parse()
                     .map_err(|_| Error::new(format!("invalid number `{text}`")))?;
                 Ok(Value::Float(f))
-            } else if let Some(digits) = text.strip_prefix('-') {
-                let magnitude: i128 = digits
-                    .parse()
-                    .map_err(|_| Error::new(format!("invalid number `{text}`")))?;
-                if magnitude == 0 {
-                    Ok(Value::Uint(0))
-                } else {
-                    Ok(Value::Int(-magnitude))
+            };
+            if is_float {
+                float()
+            } else if text.starts_with('-') {
+                match text.parse::<i128>() {
+                    Ok(0) => Ok(Value::Uint(0)),
+                    Ok(i) => Ok(Value::Int(i)),
+                    // Out of range: a large whole float, written bare.
+                    Err(_) => float(),
                 }
             } else {
-                let u: u128 = text
-                    .parse()
-                    .map_err(|_| Error::new(format!("invalid number `{text}`")))?;
-                Ok(Value::Uint(u))
+                match text.parse::<u128>() {
+                    Ok(u) => Ok(Value::Uint(u)),
+                    Err(_) => float(),
+                }
             }
         }
     }

@@ -270,8 +270,8 @@ fn serialized_corpus_bytes_are_pinned() {
         snapshot
     );
 
-    // Whole values at or past 1e15 print as bare integers, which read back
-    // through the integer parse, so they must fit an `i128`.
+    // Whole values at or past 1e15 print as bare integers; the reader
+    // takes one that fits no 128-bit integer as a float.
     let floats = [
         0.0,
         -0.0,
@@ -285,8 +285,8 @@ fn serialized_corpus_bytes_are_pinned() {
         1.5e-7,
     ];
     assert_eq!(push_json!(out, &floats, [f64; 10]), floats);
-    // `i128::MIN` writes but does not read back: the reader parses the
-    // magnitude as an `i128`.
+    // The corpus predates `i128::MIN` reading back, so it keeps
+    // `i128::MIN + 1` to hold its pinned bytes.
     let extremes = (u128::MAX, i128::MIN + 1, -1i8, u8::MAX);
     assert_eq!(push_json!(out, &extremes, (u128, i128, i8, u8)), extremes);
 
