@@ -64,6 +64,11 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         }
     }
 
+    /// The live keys, least recently used first.
+    pub fn keys(&self) -> Vec<K> {
+        self.recency.values().cloned().collect()
+    }
+
     fn touch(&mut self, key: &K) {
         if let Some((_, old_tick)) = self.entries.get(key) {
             let old_tick = *old_tick;
@@ -357,6 +362,20 @@ mod tests {
         c.put("c", 3); // evicts b
         assert_eq!(c.get(&"a"), Some(10));
         assert_eq!(c.get(&"b"), None);
+    }
+
+    #[test]
+    fn lru_keys_list_least_recent_first_without_touching() {
+        let mut c = LruCache::new(3);
+        c.put("a", 1);
+        c.put("b", 2);
+        c.put("c", 3);
+        assert_eq!(c.get(&"a"), Some(1));
+        let stats = c.stats();
+        assert_eq!(c.keys(), ["b", "c", "a"]);
+        assert_eq!(c.stats(), stats, "listing keys is not a lookup");
+        c.put("d", 4); // evicts b: listing did not refresh it
+        assert_eq!(c.keys(), ["c", "a", "d"]);
     }
 
     #[test]

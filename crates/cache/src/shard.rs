@@ -296,6 +296,12 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V, crate::policy::LruCache<
         let per_shard = shard_capacity(total_capacity, shards);
         ShardedCache::new(shards, seed, |_| crate::policy::LruCache::new(per_shard))
     }
+
+    /// The live keys, shard by shard, each shard's least recently used
+    /// first. Reading them changes no recency and counts no lookup.
+    pub fn keys(&self) -> Vec<K> {
+        self.shards.iter().flat_map(|s| s.lock().keys()).collect()
+    }
 }
 
 impl<K: Hash + Eq + Ord + Clone, V: Clone> ShardedCache<K, V, crate::policy::LfuCache<K, V>> {
@@ -534,8 +540,12 @@ mod tests {
         assert!(!cache.invalidate(&3));
         assert_eq!(cache.get(&3), None);
         assert_eq!(cache.len(), 31);
+        let mut keys = cache.keys();
+        keys.sort_unstable();
+        assert_eq!(keys, (0..32).filter(|&k| k != 3).collect::<Vec<u64>>());
         cache.clear();
         assert!(cache.is_empty());
+        assert!(cache.keys().is_empty());
     }
 
     #[test]

@@ -139,25 +139,14 @@ fn mac(mac_key: &SecretKey, nonce: &Nonce, aad: &[u8], ciphertext: &[u8]) -> Dig
 /// deterministic simulation context (the same (key, plaintext, aad) triple
 /// yields the same ciphertext; distinct messages get distinct nonces).
 pub fn seal(key: &SecretKey, plaintext: &[u8], aad: &[u8]) -> Sealed {
-    let h = crate::sha256::hash_parts(&[key.as_bytes(), plaintext, aad]);
-    let mut nonce = Nonce::default();
-    nonce.0.copy_from_slice(&h.as_bytes()[..12]);
-    seal_with_nonce(key, nonce, plaintext, aad)
+    DerivedKey::new(key.clone()).seal(plaintext, aad)
 }
 
 /// Seals `plaintext` with an explicit nonce.
 ///
 /// The caller is responsible for never reusing a nonce under the same key.
 pub fn seal_with_nonce(key: &SecretKey, nonce: Nonce, plaintext: &[u8], aad: &[u8]) -> Sealed {
-    let enc_key = key.derive(b"enc");
-    let mac_key = key.derive(b"mac");
-    let ciphertext = chacha20::encrypt(enc_key.as_bytes(), &nonce, plaintext);
-    let tag = mac(&mac_key, &nonce, aad, &ciphertext);
-    Sealed {
-        nonce,
-        ciphertext,
-        tag,
-    }
+    DerivedKey::new(key.clone()).seal_with_nonce(nonce, plaintext, aad)
 }
 
 /// Opens a sealed payload, verifying integrity before decrypting.
@@ -167,17 +156,58 @@ pub fn seal_with_nonce(key: &SecretKey, nonce: Nonce, plaintext: &[u8], aad: &[u
 /// Returns [`OpenError`] if the tag does not verify (wrong key, tampered
 /// ciphertext, or mismatched associated data).
 pub fn open(key: &SecretKey, sealed: &Sealed, aad: &[u8]) -> Result<Vec<u8>, OpenError> {
-    let enc_key = key.derive(b"enc");
-    let mac_key = key.derive(b"mac");
-    let expected = mac(&mac_key, &sealed.nonce, aad, &sealed.ciphertext);
-    if !hc_common::hex::constant_time_eq(expected.as_bytes(), sealed.tag.as_bytes()) {
-        return Err(OpenError);
+    DerivedKey::new(key.clone()).open(sealed, aad)
+}
+
+/// A key with its encryption and MAC subkeys derived (8 SHA-256
+/// compressions). The free [`seal`] and [`open`] derive them on every call;
+/// a holder that seals and opens under one key many times (the KMS master
+/// key) keeps a `DerivedKey` and gets the same bytes and verdicts.
+pub(crate) struct DerivedKey {
+    key: SecretKey,
+    enc: SecretKey,
+    mac: SecretKey,
+}
+
+impl DerivedKey {
+    pub(crate) fn new(key: SecretKey) -> Self {
+        DerivedKey {
+            enc: key.derive(b"enc"),
+            mac: key.derive(b"mac"),
+            key,
+        }
     }
-    Ok(chacha20::decrypt(
-        enc_key.as_bytes(),
-        &sealed.nonce,
-        &sealed.ciphertext,
-    ))
+
+    /// [`seal`] under this key.
+    pub(crate) fn seal(&self, plaintext: &[u8], aad: &[u8]) -> Sealed {
+        let h = crate::sha256::hash_parts(&[self.key.as_bytes(), plaintext, aad]);
+        let mut nonce = Nonce::default();
+        nonce.0.copy_from_slice(&h.as_bytes()[..12]);
+        self.seal_with_nonce(nonce, plaintext, aad)
+    }
+
+    fn seal_with_nonce(&self, nonce: Nonce, plaintext: &[u8], aad: &[u8]) -> Sealed {
+        let ciphertext = chacha20::encrypt(self.enc.as_bytes(), &nonce, plaintext);
+        let tag = mac(&self.mac, &nonce, aad, &ciphertext);
+        Sealed {
+            nonce,
+            ciphertext,
+            tag,
+        }
+    }
+
+    /// [`open`] under this key.
+    pub(crate) fn open(&self, sealed: &Sealed, aad: &[u8]) -> Result<Vec<u8>, OpenError> {
+        let expected = mac(&self.mac, &sealed.nonce, aad, &sealed.ciphertext);
+        if !hc_common::hex::constant_time_eq(expected.as_bytes(), sealed.tag.as_bytes()) {
+            return Err(OpenError);
+        }
+        Ok(chacha20::decrypt(
+            self.enc.as_bytes(),
+            &sealed.nonce,
+            &sealed.ciphertext,
+        ))
+    }
 }
 
 #[cfg(test)]
@@ -193,6 +223,18 @@ mod tests {
     fn round_trip() {
         let sealed = seal(&key(), b"hba1c=6.5", b"patient-42");
         assert_eq!(open(&key(), &sealed, b"patient-42").unwrap(), b"hba1c=6.5");
+    }
+
+    #[test]
+    fn sealed_bytes_are_pinned() {
+        // The nonce derivation, the enc/mac key split and the MAC layout
+        // decide these bytes; every stored envelope depends on them.
+        let sealed = seal(&key(), b"hba1c=6.5", b"patient-42");
+        assert_eq!(
+            hc_common::hex::encode(&sealed.to_wire()),
+            "066d7c5c06d9ca641c4e3c008d29219404117f38eefdff768b366320edc8a9e4\
+             ca98b6733878ab29c54320db1f2b229b3ff4ce6c37"
+        );
     }
 
     #[test]

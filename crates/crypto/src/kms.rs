@@ -20,7 +20,7 @@ use rand::Rng;
 
 use hc_common::id::{KeyId, Principal};
 
-use crate::aead::{self, SecretKey, Sealed};
+use crate::aead::{self, DerivedKey, Sealed, SecretKey};
 
 /// Errors returned by the key management system.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -76,7 +76,8 @@ struct KeyEntry {
 /// assert!(kms.open(&svc, key_id, &sealed, b"").is_err());
 /// ```
 pub struct KeyManagementSystem {
-    master: SecretKey,
+    /// The key-encryption key, its subkeys derived once at construction.
+    master: DerivedKey,
     keys: RwLock<HashMap<KeyId, KeyEntry>>,
     audit: RwLock<Vec<KmsAuditEvent>>,
 }
@@ -100,7 +101,7 @@ impl KeyManagementSystem {
     /// Creates a KMS with a fresh random master key.
     pub fn new<R: Rng + ?Sized>(rng: &mut R) -> Self {
         KeyManagementSystem {
-            master: SecretKey::generate(rng),
+            master: DerivedKey::new(SecretKey::generate(rng)),
             keys: RwLock::new(HashMap::new()),
             audit: RwLock::new(Vec::new()),
         }
@@ -110,7 +111,9 @@ impl KeyManagementSystem {
     pub fn create_key<R: Rng + ?Sized>(&self, rng: &mut R, authorized: &[Principal]) -> KeyId {
         let key_id = KeyId::random(rng);
         let dek = SecretKey::generate(rng);
-        let wrapped = aead::seal(&self.master, dek.as_bytes(), &key_id.as_u128().to_le_bytes());
+        let wrapped = self
+            .master
+            .seal(dek.as_bytes(), &key_id.as_u128().to_le_bytes());
         self.keys.write().insert(
             key_id,
             KeyEntry {
@@ -123,7 +126,15 @@ impl KeyManagementSystem {
         key_id
     }
 
-    fn unwrap_dek(&self, key_id: KeyId, principal: &Principal) -> Result<SecretKey, KmsError> {
+    /// Runs `use_entry` on `key_id`'s entry once the key exists and
+    /// `principal` is authorized for it, and appends the `Used` (on
+    /// success) or `Denied` audit entry. An unknown key records nothing.
+    fn use_key<T>(
+        &self,
+        principal: &Principal,
+        key_id: KeyId,
+        use_entry: impl FnOnce(&KeyEntry) -> Result<T, KmsError>,
+    ) -> Result<T, KmsError> {
         let keys = self.keys.read();
         let entry = keys.get(&key_id).ok_or(KmsError::UnknownKey(key_id))?;
         if !entry.authorized.contains(principal) {
@@ -136,18 +147,42 @@ impl KeyManagementSystem {
                 key: key_id,
             });
         }
-        let bytes = aead::open(
-            &self.master,
-            &entry.wrapped,
-            &key_id.as_u128().to_le_bytes(),
-        )
-        .map_err(|_| KmsError::IntegrityFailure)?;
-        let arr: [u8; 32] = bytes.try_into().map_err(|_| KmsError::IntegrityFailure)?;
+        let out = use_entry(entry)?;
         drop(keys);
         self.audit
             .write()
             .push(KmsAuditEvent::Used(key_id, principal.clone()));
-        Ok(SecretKey::from_bytes(arr))
+        Ok(out)
+    }
+
+    /// The DEK and its generation.
+    fn unwrap_dek(
+        &self,
+        key_id: KeyId,
+        principal: &Principal,
+    ) -> Result<(SecretKey, u32), KmsError> {
+        self.use_key(principal, key_id, |entry| {
+            let bytes = self
+                .master
+                .open(&entry.wrapped, &key_id.as_u128().to_le_bytes())
+                .map_err(|_| KmsError::IntegrityFailure)?;
+            let arr: [u8; 32] = bytes.try_into().map_err(|_| KmsError::IntegrityFailure)?;
+            Ok((SecretKey::from_bytes(arr), entry.generation))
+        })
+    }
+
+    /// [`open`](Self::open)'s existence and authorization checks and its
+    /// `Used`/`Denied` audit entry, without unwrapping the DEK. Returns the
+    /// key's current generation, so a holder of plaintext opened under
+    /// [`open_with_generation`](Self::open_with_generation) can tell
+    /// whether the key was rotated since.
+    ///
+    /// # Errors
+    ///
+    /// Fails as `open` would before touching the ciphertext: the key is
+    /// unknown/shredded or the principal unauthorized.
+    pub fn authorize_use(&self, principal: &Principal, key_id: KeyId) -> Result<u32, KmsError> {
+        self.use_key(principal, key_id, |entry| Ok(entry.generation))
     }
 
     /// Seals `plaintext` under the DEK `key_id` on behalf of `principal`.
@@ -162,7 +197,7 @@ impl KeyManagementSystem {
         plaintext: &[u8],
         aad: &[u8],
     ) -> Result<Sealed, KmsError> {
-        let dek = self.unwrap_dek(key_id, principal)?;
+        let (dek, _) = self.unwrap_dek(key_id, principal)?;
         Ok(aead::seal(&dek, plaintext, aad))
     }
 
@@ -179,8 +214,26 @@ impl KeyManagementSystem {
         sealed: &Sealed,
         aad: &[u8],
     ) -> Result<Vec<u8>, KmsError> {
-        let dek = self.unwrap_dek(key_id, principal)?;
-        aead::open(&dek, sealed, aad).map_err(|_| KmsError::IntegrityFailure)
+        self.open_with_generation(principal, key_id, sealed, aad)
+            .map(|(plaintext, _)| plaintext)
+    }
+
+    /// [`open`](Self::open), also returning the generation of the DEK that
+    /// opened `sealed`.
+    ///
+    /// # Errors
+    ///
+    /// As [`open`](Self::open).
+    pub fn open_with_generation(
+        &self,
+        principal: &Principal,
+        key_id: KeyId,
+        sealed: &Sealed,
+        aad: &[u8],
+    ) -> Result<(Vec<u8>, u32), KmsError> {
+        let (dek, generation) = self.unwrap_dek(key_id, principal)?;
+        let plaintext = aead::open(&dek, sealed, aad).map_err(|_| KmsError::IntegrityFailure)?;
+        Ok((plaintext, generation))
     }
 
     /// Grants `principal` access to `key_id`.
@@ -208,7 +261,9 @@ impl KeyManagementSystem {
         let mut keys = self.keys.write();
         let entry = keys.get_mut(&key_id).ok_or(KmsError::UnknownKey(key_id))?;
         let dek = SecretKey::generate(rng);
-        entry.wrapped = aead::seal(&self.master, dek.as_bytes(), &key_id.as_u128().to_le_bytes());
+        entry.wrapped = self
+            .master
+            .seal(dek.as_bytes(), &key_id.as_u128().to_le_bytes());
         entry.generation += 1;
         let generation = entry.generation;
         drop(keys);
@@ -359,6 +414,66 @@ mod tests {
         // New seals round-trip.
         let sealed_new = kms.seal(&svc("a"), k, b"v2", b"").unwrap();
         assert_eq!(kms.open(&svc("a"), k, &sealed_new, b"").unwrap(), b"v2");
+    }
+
+    #[test]
+    fn authorize_use_checks_and_audits_like_open() {
+        let mut rng = hc_common::rng::seeded(9);
+        let kms = KeyManagementSystem::new(&mut rng);
+        let k = kms.create_key(&mut rng, &[svc("a")]);
+        let sealed = kms.seal(&svc("a"), k, b"phi", b"").unwrap();
+        let before = kms.audit_log().len();
+        assert_eq!(
+            kms.open_with_generation(&svc("a"), k, &sealed, b"")
+                .unwrap(),
+            (b"phi".to_vec(), 1)
+        );
+        assert_eq!(kms.authorize_use(&svc("a"), k), Ok(1));
+        assert!(matches!(
+            kms.authorize_use(&svc("b"), k),
+            Err(KmsError::Unauthorized { .. })
+        ));
+        assert_eq!(
+            kms.audit_log()[before..],
+            [
+                KmsAuditEvent::Used(k, svc("a")),
+                KmsAuditEvent::Used(k, svc("a")),
+                KmsAuditEvent::Denied(k, svc("b")),
+            ]
+        );
+        assert_eq!(kms.rotate(&mut rng, k), Ok(2));
+        assert_eq!(kms.authorize_use(&svc("a"), k), Ok(2));
+        kms.shred(k);
+        let after_shred = kms.audit_log().len();
+        assert_eq!(
+            kms.authorize_use(&svc("a"), k),
+            Err(KmsError::UnknownKey(k))
+        );
+        assert_eq!(
+            kms.audit_log().len(),
+            after_shred,
+            "an unknown key records nothing"
+        );
+    }
+
+    #[test]
+    fn wrapped_keys_and_seals_are_pinned() {
+        let mut rng = hc_common::rng::seeded(5);
+        let kms = KeyManagementSystem::new(&mut rng);
+        let k = kms.create_key(&mut rng, &[svc("ingest")]);
+        let wrapped = kms.keys.read()[&k].wrapped.to_wire();
+        assert_eq!(
+            hc_common::hex::encode(&wrapped),
+            "0c85af09fdc25a11c2c4c3ad05ee2e9fafbecbe089e8d0ec1913bb0fe784ca0a\
+             b2fcb0c32b30c96facb50336d0ce71510ccf77fb47313ed0a1afa8ee2dc7ff01\
+             512474faf98fbd0834f328b8"
+        );
+        let sealed = kms.seal(&svc("ingest"), k, b"record", b"at-rest").unwrap();
+        assert_eq!(
+            hc_common::hex::encode(&sealed.to_wire()),
+            "2cb2186ed7efd9269f3a9a9bcaa9535e91eef62d8d482cb292c917d21c072900\
+             438150c3d8db87fe140032a1298c256e93d3"
+        );
     }
 
     #[test]

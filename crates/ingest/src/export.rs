@@ -6,10 +6,12 @@
 //! data is provided to the client. This is typically needed by Clinical
 //! Research Organizations (CRO) to conduct various types of studies."
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::{Arc, OnceLock};
 
-use hc_common::id::{PatientId, Principal, ReferenceId};
+use hc_cache::policy::LruCache;
+use hc_cache::shard::ShardedCache;
+use hc_common::id::{KeyId, PatientId, Principal, ReferenceId};
 use hc_crypto::sha256;
 use hc_fhir::bundle::{Bundle, BundleKind};
 use hc_ledger::provenance::{ProvenanceAction, ProvenanceEvent};
@@ -52,6 +54,109 @@ pub struct FullExport {
     pub reidentification: HashMap<String, String>,
 }
 
+/// Most records [`OpenedRecords`] holds. Its memory is bounded by this
+/// many of the largest cached records (~0.8 MB for ~3 KB clinical
+/// bundles).
+const OPENED_CAPACITY: usize = 128;
+/// Lock stripes of [`OpenedRecords`].
+const OPENED_SHARDS: usize = 4;
+
+/// (reference, version, DEK id): a new version or a different record key
+/// is a different entry.
+type OpenedKey = (ReferenceId, u32, KeyId);
+/// The decoded bundle and the generation of the DEK that opened it.
+type Opened = (u32, Arc<Bundle>);
+
+/// The export read cache: records the export service has opened, so a
+/// repeat read of the same stored version skips the envelope decode, the
+/// DEK unwrap, the AEAD open and the FHIR decode. It holds de-identified
+/// plaintext, so it is PHI at rest: `forget_patient` drops a patient's
+/// entries and the posture scanner lists them
+/// ([`IngestionPipeline::export_cache_entries`](crate::pipeline::IngestionPipeline::export_cache_entries)).
+pub(crate) struct OpenedRecords {
+    cache: ShardedCache<OpenedKey, Opened, LruCache<OpenedKey, Opened>>,
+    instruments: OnceLock<OpenedInstruments>,
+}
+
+struct OpenedInstruments {
+    hits: hc_telemetry::Counter,
+    misses: hc_telemetry::Counter,
+    entries: hc_telemetry::Gauge,
+}
+
+impl OpenedRecords {
+    pub(crate) fn new(seed: u64) -> Self {
+        OpenedRecords {
+            cache: ShardedCache::lru(OPENED_CAPACITY, OPENED_SHARDS, seed),
+            instruments: OnceLock::new(),
+        }
+    }
+
+    /// Registers `ingest.export_cache.hits` and `.misses` (counters) and
+    /// `.entries` (gauge). Only the first registry counts.
+    pub(crate) fn instrument(&self, registry: &hc_telemetry::Registry) {
+        let _ = self.instruments.set(OpenedInstruments {
+            hits: registry.counter("ingest.export_cache.hits"),
+            misses: registry.counter("ingest.export_cache.misses"),
+            entries: registry.gauge("ingest.export_cache.entries"),
+        });
+    }
+
+    fn get(&self, key: &OpenedKey) -> Option<Opened> {
+        let found = self.cache.get(key);
+        if let Some(inst) = self.instruments.get() {
+            if found.is_some() {
+                inst.hits.inc();
+            } else {
+                inst.misses.inc();
+            }
+        }
+        found
+    }
+
+    fn put(&self, key: OpenedKey, opened: Opened) {
+        self.cache.put(key, opened);
+        self.count_entries();
+    }
+
+    fn invalidate(&self, key: &OpenedKey) {
+        self.cache.invalidate(key);
+        self.count_entries();
+    }
+
+    /// Drops every entry of `references` (sorted).
+    pub(crate) fn forget(&self, references: &[ReferenceId]) {
+        for key in self.cache.keys() {
+            if references.binary_search(&key.0).is_ok() {
+                self.cache.invalidate(&key);
+            }
+        }
+        self.count_entries();
+    }
+
+    /// Each cached (reference, DEK id), sorted, once.
+    pub(crate) fn entries(&self) -> Vec<(ReferenceId, KeyId)> {
+        let unique: BTreeSet<(ReferenceId, KeyId)> = self
+            .cache
+            .keys()
+            .into_iter()
+            .map(|(reference, _, key)| (reference, key))
+            .collect();
+        unique.into_iter().collect()
+    }
+
+    fn count_entries(&self) {
+        if let Some(inst) = self.instruments.get() {
+            inst.entries.set(self.cache.len() as i64);
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn clear(&self) {
+        self.cache.clear();
+    }
+}
+
 /// The export service.
 pub struct ExportService {
     shared: Arc<SharedState>,
@@ -70,28 +175,53 @@ impl ExportService {
         ExportService { shared }
     }
 
-    fn open_record(&self, reference: ReferenceId) -> Result<Bundle, ExportError> {
-        let raw = {
+    /// Opens the latest version of `reference` as the export service.
+    ///
+    /// A version opened before comes from [`OpenedRecords`], after the same
+    /// lake read, record-key lookup and KMS authorization (with its audit
+    /// entry) a cold open makes. A rotated DEK no longer opens the stored
+    /// version, so a generation mismatch is unreadable, as the cold open
+    /// would find; a hit that fails authorization drops its entry.
+    fn open_record(&self, reference: ReferenceId) -> Result<Arc<Bundle>, ExportError> {
+        let unreadable = || ExportError::Unreadable(reference);
+        let (version, raw) = {
             let mut lake = self.shared.lake.lock();
-            lake.get_latest(reference)
-                .map_err(|_| ExportError::Unreadable(reference))?
-                .data
-                .clone()
+            let stored = lake.get_latest(reference).map_err(|_| unreadable())?;
+            (stored.version, stored.data.clone())
         };
-        let sealed: hc_crypto::aead::Sealed =
-            serde_json::from_slice(&raw).map_err(|_| ExportError::Unreadable(reference))?;
         let key = *self
             .shared
             .record_keys
             .lock()
             .get(&reference)
-            .ok_or(ExportError::Unreadable(reference))?;
-        let bytes = self
+            .ok_or_else(unreadable)?;
+        let export = Principal::Service("export".into());
+        let opened_key = (reference, version, key);
+        if let Some((generation, bundle)) = self.shared.opened.get(&opened_key) {
+            if self.shared.kms.authorize_use(&export, key) == Ok(generation) {
+                return Ok(bundle);
+            }
+            self.shared.opened.invalidate(&opened_key);
+            return Err(unreadable());
+        }
+        let sealed: hc_crypto::aead::Sealed =
+            serde_json::from_slice(&raw).map_err(|_| unreadable())?;
+        let (bytes, generation) = self
             .shared
             .kms
-            .open(&Principal::Service("export".into()), key, &sealed, b"at-rest")
-            .map_err(|_| ExportError::Unreadable(reference))?;
-        Bundle::from_bytes(&bytes).map_err(|_| ExportError::Unreadable(reference))
+            .open_with_generation(&export, key, &sealed, b"at-rest")
+            .map_err(|_| unreadable())?;
+        let bundle = Arc::new(Bundle::from_bytes(&bytes).map_err(|_| unreadable())?);
+        self.shared
+            .opened
+            .put(opened_key, (generation, Arc::clone(&bundle)));
+        // A `forget_patient` that shredded the key while this read was
+        // opening the record dropped the patient's entries before this
+        // one existed.
+        if !self.shared.kms.contains(key) {
+            self.shared.opened.invalidate(&opened_key);
+        }
+        Ok(bundle)
     }
 
     fn anchor_export(&self, reference: ReferenceId, detail: &str) {
@@ -122,7 +252,7 @@ impl ExportService {
         for reference in references {
             match self.open_record(reference) {
                 Ok(bundle) => {
-                    merged.extend(bundle);
+                    merged.extend(bundle.iter().cloned());
                     self.anchor_export(reference, "anonymized");
                 }
                 Err(ExportError::Unreadable(_)) => continue, // shredded/tombstoned
@@ -206,7 +336,7 @@ impl ExportService {
         let mut reidentification = HashMap::new();
         for reference in references {
             let bundle = self.open_record(reference)?;
-            merged.extend(bundle);
+            merged.extend(bundle.iter().cloned());
             if let Some(map) = self.shared.pseudonyms.lock().get(&reference) {
                 for (original, pseudonym) in map {
                     reidentification.insert(pseudonym.clone(), original.clone());
@@ -225,6 +355,7 @@ impl ExportService {
 mod tests {
     use super::*;
     use crate::pipeline::tests::build_pipeline;
+    use crate::pipeline::IngestionPipeline;
     use crate::status::IngestionStatus;
     use hc_fhir::resource::{Consent, Gender, Observation, Patient, Resource};
     use hc_fhir::types::{CodeableConcept, Quantity, SimDate};
@@ -374,6 +505,320 @@ mod tests {
         assert_eq!(
             export.export_full(patient).unwrap_err(),
             ExportError::NothingToExport
+        );
+    }
+
+    #[test]
+    fn shredded_record_is_never_served_from_the_cache() {
+        let pipeline = build_pipeline(36);
+        let stored = |raw: u128| {
+            let credential = pipeline.register_device(PatientId::from_raw(raw));
+            let sealed = pipeline
+                .seal_upload(&credential, &bundle_for(&format!("p{raw}"), true, true))
+                .unwrap();
+            let url = pipeline.submit(credential, sealed);
+            pipeline.process_all();
+            let Some(IngestionStatus::Stored { references }) = pipeline.status(url) else {
+                panic!("stored")
+            };
+            references[0]
+        };
+        let export = pipeline.export_service();
+        let patient = PatientId::from_raw(9);
+        let reference = stored(9);
+        let key = pipeline.shared.record_keys.lock()[&reference];
+        let first = export.export_full(patient).unwrap();
+        assert_eq!(pipeline.export_cache_entries(), [(reference, key)]);
+        assert_eq!(export.export_full(patient).unwrap().bundle, first.bundle);
+
+        // A shred through the KMS alone: the next read is unreadable and
+        // drops the entry.
+        pipeline.shared.kms.shred(key);
+        assert_eq!(
+            export.export_full(patient).unwrap_err(),
+            ExportError::Unreadable(reference)
+        );
+        assert!(pipeline.export_cache_entries().is_empty());
+
+        // `forget_patient` drops every cached record of the patient.
+        let other = PatientId::from_raw(10);
+        let kept = stored(11);
+        let forgotten = [stored(10), stored(10)];
+        let _ = export.export_full(other).unwrap();
+        let _ = export.export_full(PatientId::from_raw(11)).unwrap();
+        assert_eq!(pipeline.export_cache_entries().len(), 3);
+        assert_eq!(pipeline.forget_patient(other), 2);
+        let cached: Vec<ReferenceId> = pipeline
+            .export_cache_entries()
+            .into_iter()
+            .map(|(r, _)| r)
+            .collect();
+        assert_eq!(cached, [kept]);
+        assert!(forgotten.iter().all(|r| !cached.contains(r)));
+    }
+
+    /// One step of the differential script. A `record` picks among the
+    /// references stored so far, counting back from the newest.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Upload {
+            patient: u128,
+            consent: bool,
+        },
+        ExportFull {
+            patient: u128,
+        },
+        ExportAnonymized,
+        Share {
+            record: usize,
+            keep_observations: bool,
+        },
+        PutVersion {
+            record: usize,
+        },
+        Tombstone {
+            record: usize,
+        },
+        Purge {
+            record: usize,
+        },
+        Forget {
+            patient: u128,
+        },
+        Shred {
+            record: usize,
+        },
+        Rotate {
+            record: usize,
+        },
+    }
+
+    fn soak_seed() -> u64 {
+        std::env::var("HC_SOAK_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0x50AC)
+    }
+
+    /// A seeded mix of uploads, reads and invalidating writes over a few
+    /// patients, ending with a rotate and a shred between reads of one
+    /// fresh record each.
+    fn differential_script(seed: u64) -> Vec<Step> {
+        use rand::Rng;
+        let mut rng = hc_common::rng::seeded_stream(seed, 1);
+        let mut steps: Vec<Step> = (0..240)
+            .map(|_| {
+                let patient = rng.gen_range(1..=8u128);
+                let record = rng.gen_range(0..8usize);
+                match rng.gen_range(0..100u32) {
+                    0..=21 => Step::Upload {
+                        patient,
+                        consent: rng.gen_range(0..10u32) != 0,
+                    },
+                    22..=61 => Step::ExportFull { patient },
+                    62..=69 => Step::ExportAnonymized,
+                    70..=79 => Step::Share {
+                        record,
+                        keep_observations: rng.gen_range(0..2u32) == 0,
+                    },
+                    80..=85 => Step::PutVersion { record },
+                    86..=87 => Step::Tombstone { record },
+                    88..=89 => Step::Purge { record },
+                    90..=92 => Step::Forget { patient },
+                    93..=95 => Step::Shred { record },
+                    _ => Step::Rotate { record },
+                }
+            })
+            .collect();
+        for (patient, change) in [
+            (100, Step::Rotate { record: 0 }),
+            (101, Step::Shred { record: 0 }),
+        ] {
+            steps.extend([
+                Step::Upload {
+                    patient,
+                    consent: true,
+                },
+                Step::ExportFull { patient },
+                change,
+                Step::ExportFull { patient },
+            ]);
+        }
+        steps
+    }
+
+    /// Runs `step` on `pipeline` and renders what it returned. `cold`
+    /// empties the export cache before every read.
+    fn run_step(
+        pipeline: &IngestionPipeline,
+        references: &mut Vec<ReferenceId>,
+        rng: &mut rand::rngs::StdRng,
+        index: usize,
+        step: Step,
+        cold: bool,
+    ) -> String {
+        let export = pipeline.export_service();
+        let shared = &pipeline.shared;
+        let pick = |record: usize| {
+            (!references.is_empty())
+                .then(|| references[references.len() - 1 - record % references.len()])
+        };
+        let key_of = |reference: ReferenceId| shared.record_keys.lock().get(&reference).copied();
+        if cold
+            && matches!(
+                step,
+                Step::ExportFull { .. } | Step::ExportAnonymized | Step::Share { .. }
+            )
+        {
+            shared.opened.clear();
+        }
+        match step {
+            Step::Upload { patient, consent } => {
+                let pid = format!("p{patient}");
+                let credential = pipeline.register_device(PatientId::from_raw(patient));
+                let mut bundle = bundle_for(&pid, true, consent);
+                if let Some(Resource::Observation(o)) = bundle.entries.get_mut(1) {
+                    o.value = Quantity::new(4.0 + (index % 20) as f64 * 0.5, "%");
+                }
+                let sealed = pipeline.seal_upload(&credential, &bundle).unwrap();
+                let url = pipeline.submit(credential, sealed);
+                pipeline.process_all();
+                let status = pipeline.status(url);
+                if let Some(IngestionStatus::Stored { references: stored }) = &status {
+                    references.extend(stored);
+                }
+                format!("{status:?}")
+            }
+            Step::ExportFull { patient } => {
+                match export.export_full(PatientId::from_raw(patient)) {
+                    Ok(full) => {
+                        let mut map: Vec<_> = full.reidentification.into_iter().collect();
+                        map.sort();
+                        format!("{} {map:?}", full.bundle.to_json())
+                    }
+                    Err(e) => format!("{e:?}"),
+                }
+            }
+            Step::ExportAnonymized => {
+                format!("{:?}", export.export_anonymized().map(|b| b.to_json()))
+            }
+            Step::Share {
+                record,
+                keep_observations,
+            } => {
+                let Some(reference) = pick(record) else {
+                    return "no records".into();
+                };
+                let keep: &[&str] = if keep_observations {
+                    &["Observation"]
+                } else {
+                    &["Patient"]
+                };
+                format!("{:?}", export.share_partial_record(reference, keep))
+            }
+            Step::PutVersion { record } => {
+                let Some(reference) = pick(record) else {
+                    return "no records".into();
+                };
+                let Some(key) = key_of(reference) else {
+                    return "no record key".into();
+                };
+                let version = Bundle::new(
+                    BundleKind::Collection,
+                    vec![Resource::Observation(Observation {
+                        id: format!("v{index}"),
+                        subject: "pseudonym".into(),
+                        code: CodeableConcept::hba1c(),
+                        value: Quantity::new(4.0 + (index % 20) as f64 * 0.5, "%"),
+                        effective: SimDate(index as u32),
+                    })],
+                );
+                let ingest = Principal::Service("ingest".into());
+                let sealed = match shared
+                    .kms
+                    .seal(&ingest, key, &version.to_bytes(), b"at-rest")
+                {
+                    Ok(sealed) => sealed,
+                    Err(e) => return format!("{e:?}"),
+                };
+                let dek = key.as_u128().to_string();
+                let put = shared.lake.lock().put_version(
+                    reference,
+                    serde_json::to_vec(&sealed).unwrap(),
+                    &[("enc", "envelope-v1"), ("dek", dek.as_str())],
+                );
+                format!("{put:?}")
+            }
+            Step::Tombstone { record } => match pick(record) {
+                Some(reference) => format!("{:?}", shared.lake.lock().tombstone(reference)),
+                None => "no records".into(),
+            },
+            Step::Purge { record } => match pick(record) {
+                Some(reference) => format!("{:?}", shared.lake.lock().purge(reference)),
+                None => "no records".into(),
+            },
+            Step::Forget { patient } => {
+                format!("{}", pipeline.forget_patient(PatientId::from_raw(patient)))
+            }
+            Step::Shred { record } => match pick(record).and_then(key_of) {
+                Some(key) => {
+                    shared.kms.shred(key);
+                    "shredded".into()
+                }
+                None => "no record key".into(),
+            },
+            Step::Rotate { record } => match pick(record).and_then(key_of) {
+                Some(key) => format!("{:?}", shared.kms.rotate(rng, key)),
+                None => "no record key".into(),
+            },
+        }
+    }
+
+    /// The cache changes no observable: two pipelines from one seed run the
+    /// same seeded script, one emptying the cache before every read, and
+    /// agree on every result, the KMS audit log, the provenance tip and the
+    /// simulated clock after every step.
+    #[test]
+    fn export_cache_differential_against_cold_reads() {
+        let seed = soak_seed();
+        let registry = hc_telemetry::Registry::new();
+        let pipelines = [build_pipeline(seed), build_pipeline(seed)];
+        pipelines[0].enable_telemetry(&registry);
+        let mut references = [Vec::new(), Vec::new()];
+        let mut rngs = [hc_common::rng::seeded(seed), hc_common::rng::seeded(seed)];
+        let observe = |pipeline: &IngestionPipeline| {
+            let provenance = pipeline.shared.provenance.lock();
+            let ledger = provenance.ledger();
+            (
+                pipeline.shared.kms.audit_log(),
+                ledger.height(),
+                ledger.blocks().last().map(|b| b.hash),
+                provenance.pending_count(),
+                pipeline.shared.lake.lock().clock().now(),
+            )
+        };
+        for (index, step) in differential_script(seed).into_iter().enumerate() {
+            let [warm_refs, cold_refs] = &mut references;
+            let [warm_rng, cold_rng] = &mut rngs;
+            let warm = run_step(&pipelines[0], warm_refs, warm_rng, index, step, false);
+            let cold = run_step(&pipelines[1], cold_refs, cold_rng, index, step, true);
+            assert_eq!(warm, cold, "seed {seed} step {index} {step:?}");
+            assert_eq!(warm_refs, cold_refs, "seed {seed} step {index} {step:?}");
+            assert!(
+                observe(&pipelines[0]) == observe(&pipelines[1]),
+                "seed {seed} step {index} {step:?}: audit log, provenance tip or clock diverged"
+            );
+        }
+        let snapshot = registry.snapshot();
+        let hits = snapshot.counter("ingest.export_cache.hits").unwrap_or(0);
+        let misses = snapshot.counter("ingest.export_cache.misses").unwrap_or(0);
+        assert!(
+            hits > 20 && misses > 20,
+            "seed {seed}: {hits} hits, {misses} misses"
+        );
+        assert_eq!(
+            snapshot.gauge("ingest.export_cache.entries"),
+            Some(pipelines[0].shared.opened.cache.len() as i64)
         );
     }
 }

@@ -57,6 +57,7 @@ use hc_privacy::phi::{deidentify_bundle, DeidConfig};
 use hc_privacy::verify::scan_resource_for_phi;
 use hc_storage::datalake::DataLake;
 
+use crate::export::OpenedRecords;
 use crate::scanner::MalwareScanner;
 use crate::status::{IngestionStatus, StatusUrl};
 
@@ -130,6 +131,8 @@ pub(crate) struct SharedState {
     pub(crate) share_signer: Mutex<hc_crypto::ots::MerkleSigner>,
     /// The verification key for shared redactable documents.
     pub(crate) share_public: hc_crypto::ots::MerklePublicKey,
+    /// The export read cache.
+    pub(crate) opened: OpenedRecords,
 }
 
 #[derive(Clone)]
@@ -282,6 +285,7 @@ impl IngestionPipeline {
                 study_name: study_name.to_owned(),
                 share_signer: Mutex::new(share_signer),
                 share_public,
+                opened: OpenedRecords::new(seed),
             }),
             scanner: MalwareScanner::new(),
             validator: Validator::strict(),
@@ -299,9 +303,11 @@ impl IngestionPipeline {
 
     /// Turns on telemetry: per-stage wall-clock histograms
     /// (`ingest.stage.<name>.wall_ns`), outcome counters and queue/DLQ
-    /// depth gauges, all under the `ingest.*` prefix. The existing
-    /// [`PipelineStats`] counters keep working unchanged.
+    /// depth gauges, all under the `ingest.*` prefix, plus the export read
+    /// cache's `ingest.export_cache.*` hit, miss and entry counts. The
+    /// existing [`PipelineStats`] counters keep working unchanged.
     pub fn enable_telemetry(&self, registry: &hc_telemetry::Registry) {
+        self.shared.opened.instrument(registry);
         *self.telemetry.lock() = Some(Arc::new(PipelineInstruments {
             stage_wall: STAGE_NAMES
                 .iter()
@@ -980,7 +986,8 @@ impl IngestionPipeline {
     }
 
     /// Right-to-forget: purges and crypto-shreds every record of a
-    /// patient, anchoring `deleted` events.
+    /// patient, anchoring `deleted` events, and drops the patient's
+    /// records from the export read cache.
     ///
     /// Returns the number of records destroyed.
     pub fn forget_patient(&self, patient: PatientId) -> usize {
@@ -1004,7 +1011,15 @@ impl IngestionPipeline {
                 detail: "right-to-forget".into(),
             });
         }
+        self.shared.opened.forget(&references);
         references.len()
+    }
+
+    /// The (reference, DEK id) of every record the export read cache holds
+    /// opened, sorted: de-identified plaintext the posture scanner audits
+    /// as PHI at rest.
+    pub fn export_cache_entries(&self) -> Vec<(ReferenceId, KeyId)> {
+        self.shared.opened.entries()
     }
 
     /// Counter snapshot.

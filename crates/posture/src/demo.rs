@@ -434,6 +434,12 @@ pub fn plant_violations(demo: &mut DemoDeployment) -> Result<Vec<PlantedViolatio
         rule: rules::SHREDDED_KEY_REF,
         subject: format!("deployment://lake/record/{orphan_ref}"),
     });
+    // The demo's anonymized export opened that record, so the export read
+    // cache still holds it, now under a shredded key.
+    planted.push(PlantedViolation {
+        rule: rules::SHREDDED_KEY_REF,
+        subject: format!("deployment://export-cache/record/{orphan_ref}"),
+    });
 
     // P8 — encrypt: a batch key ground through 70 seals, past the planted
     // config's rotation budget of 64.
@@ -516,7 +522,11 @@ mod tests {
     fn planted_violations_are_all_found_exactly() {
         let mut demo = DemoDeployment::build(42).expect("demo builds");
         let expected = plant_violations(&mut demo).expect("plants apply");
-        assert_eq!(expected.len(), 11, "one plant per rule");
+        assert_eq!(
+            expected.len(),
+            12,
+            "one finding per rule, plus P7's cached entry"
+        );
         let snap = PlatformSnapshot::capture(&demo.platform);
         let outcome = scan(&snap, &planted_config()).expect("config valid");
 

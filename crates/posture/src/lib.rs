@@ -14,7 +14,9 @@
 //! * `attest` — attestation gaps: PHI-serving workloads admitted without
 //!   attestation, golden-measurement divergence, unverified quote chains;
 //! * `encrypt` — encryption at rest: identified records without envelope
-//!   metadata, records sealed under shredded keys, rotation-overdue keys;
+//!   metadata, records sealed under shredded keys, export-cache entries
+//!   whose key is shredded or whose record is deleted, rotation-overdue
+//!   keys;
 //! * `consent` — consent/policy gaps: identified records without consent
 //!   provenance, revocations never followed by crypto-shredding.
 //!
@@ -32,6 +34,7 @@
 //! * RBAC — `deployment://rbac/user/NAME`, `deployment://rbac/role/NAME`
 //! * KMS — `deployment://kms/key/HEX`
 //! * lake — `deployment://lake/record/HEX`
+//! * export read cache — `deployment://export-cache/record/HEX`
 //! * consent — `deployment://consent/patient/HEX`
 //!
 //! Attestation verdicts for containers are recorded under the subject

@@ -120,13 +120,17 @@ pub const POSTURE_RULES: &[Rule] = &[
         id: SHREDDED_KEY_REF,
         family: "encrypt",
         severity: Severity::Error,
-        description: "Live record references a shredded or unknown KMS key",
+        description: "Live record or export-cache entry references a shredded or unknown KMS key",
         help: "The record's `dek` tag names a key absent from the live KMS table: \
                either the key was shredded while the ciphertext lives on (the \
                two-phase forget flow was bypassed) or the tag references a key this \
                KMS never issued. The ciphertext is permanently unreadable yet still \
                retained — a retention-policy violation and an audit red flag. Fix: \
-               purge the record, or restore the ingest/forget pairing.",
+               purge the record, or restore the ingest/forget pairing. On an \
+               `export-cache` subject, the export read cache still holds the record \
+               opened (plaintext) although its key is gone or the record is \
+               tombstoned or purged; the next read drops the entry, and \
+               `forget_patient` drops it at once.",
     },
     Rule {
         id: STALE_KEY,

@@ -328,6 +328,31 @@ pub fn scan(snapshot: &PlatformSnapshot, config: &ScanConfig) -> Result<ScanOutc
         }
     }
 
+    let live_records: BTreeSet<&str> = snapshot
+        .records
+        .iter()
+        .filter(|r| !r.tombstoned)
+        .map(|r| r.path.as_str())
+        .collect();
+    for c in &snapshot.cached {
+        let key_live = snapshot.live_keys.contains(&c.dek);
+        let record_live = live_records.contains(c.record.as_str());
+        let why = match (key_live, record_live) {
+            (true, true) => continue,
+            (false, true) => "its key is not in the live KMS table",
+            (true, false) => "its record is tombstoned or purged",
+            (false, false) => {
+                "its key is not in the live KMS table and its record is tombstoned or purged"
+            }
+        };
+        findings.push(finding(
+            rules::SHREDDED_KEY_REF,
+            &c.path,
+            format!("dek={}", c.dek),
+            format!("the export read cache holds this record opened, but {why}"),
+        ));
+    }
+
     for key in &snapshot.keys {
         if key.uses_since_rotation > config.rotation_budget {
             findings.push(finding(
@@ -434,7 +459,7 @@ pub fn record_metrics(registry: &Registry, outcome: &ScanOutcome) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{AssignmentSnapshot, KeySnapshot, RecordSnapshot};
+    use crate::snapshot::{AssignmentSnapshot, CachedRecordSnapshot, KeySnapshot, RecordSnapshot};
     use hc_common::id::{GroupId, PatientId};
 
     fn set(items: &[&str]) -> BTreeSet<String> {
@@ -527,6 +552,58 @@ mod tests {
         let out = scan(&snap, &ScanConfig::default()).unwrap();
         let rules_fired: Vec<&str> = out.findings.iter().map(|f| f.rule.as_str()).collect();
         assert_eq!(rules_fired, vec![rules::PLAINTEXT_PHI, rules::SHREDDED_KEY_REF]);
+    }
+
+    #[test]
+    fn cached_entries_need_a_live_key_and_a_live_record() {
+        let mut snap = PlatformSnapshot::default();
+        snap.live_keys.insert(42);
+        for (path, tombstoned) in [
+            ("deployment://lake/record/01", false),
+            ("deployment://lake/record/02", true),
+        ] {
+            snap.records.push(RecordSnapshot {
+                path: path.into(),
+                patient: None,
+                tombstoned,
+                enc_scheme: Some("envelope-v1".into()),
+                dek: Some("42".into()),
+            });
+        }
+        // Record 03 was purged.
+        for (record, dek) in [("01", 42), ("01", 43), ("02", 42), ("03", 43)] {
+            snap.cached.push(CachedRecordSnapshot {
+                path: format!("deployment://export-cache/record/{record}"),
+                record: format!("deployment://lake/record/{record}"),
+                dek,
+            });
+        }
+        let out = scan(&snap, &ScanConfig::default()).unwrap();
+        let found: Vec<(&str, &str, &str)> = out
+            .findings
+            .iter()
+            .map(|f| (f.rule.as_str(), f.file.as_str(), f.snippet.as_str()))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                (
+                    rules::SHREDDED_KEY_REF,
+                    "deployment://export-cache/record/01",
+                    "dek=43"
+                ),
+                (
+                    rules::SHREDDED_KEY_REF,
+                    "deployment://export-cache/record/02",
+                    "dek=42"
+                ),
+                (
+                    rules::SHREDDED_KEY_REF,
+                    "deployment://export-cache/record/03",
+                    "dek=43"
+                ),
+            ]
+        );
     }
 
     #[test]

@@ -109,6 +109,17 @@ pub struct RecordSnapshot {
     pub dek: Option<String>,
 }
 
+/// One record the export read cache holds opened (decoded plaintext).
+#[derive(Clone, Debug)]
+pub struct CachedRecordSnapshot {
+    /// Stable `deployment://export-cache/record/HEX` path.
+    pub path: String,
+    /// The cached record's `deployment://lake/record/HEX` path.
+    pub record: String,
+    /// Raw id of the KMS key that opened it.
+    pub dek: u128,
+}
+
 /// Everything the posture rules evaluate, captured at one point in time.
 #[derive(Clone, Debug, Default)]
 pub struct PlatformSnapshot {
@@ -129,6 +140,8 @@ pub struct PlatformSnapshot {
     pub live_keys: BTreeSet<u128>,
     /// Data-lake records (metadata only).
     pub records: Vec<RecordSnapshot>,
+    /// Export read-cache entries, one per cached (record, key).
+    pub cached: Vec<CachedRecordSnapshot>,
     /// Golden measurements by component/image name.
     pub golden: BTreeMap<String, Digest>,
     /// Latest attestation verdict (trusted?) by subject name.
@@ -152,6 +165,7 @@ impl PlatformSnapshot {
             + self.assignments.len()
             + self.keys.len()
             + self.records.len()
+            + self.cached.len()
     }
 
     /// Captures a posture snapshot from a live platform. Subsystem locks
@@ -329,6 +343,17 @@ impl PlatformSnapshot {
                 });
             }
         }
+
+        snap.cached = platform
+            .pipeline
+            .export_cache_entries()
+            .into_iter()
+            .map(|(reference, key)| CachedRecordSnapshot {
+                path: format!("deployment://export-cache/record/{reference}"),
+                record: format!("deployment://lake/record/{reference}"),
+                dek: key.as_u128(),
+            })
+            .collect();
 
         {
             // Deliberate: capture copies this subsystem's audit surface

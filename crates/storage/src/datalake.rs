@@ -11,7 +11,7 @@
 //! purge (the caller pairs purge with KMS crypto-shredding for true
 //! secure deletion).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use hc_common::clock::{SimClock, SimDuration};
 use hc_common::fault::{FaultInjector, FaultKind};
@@ -137,6 +137,9 @@ pub struct DataLake {
     records: HashMap<ReferenceId, RecordEntry>,
     tag_index: HashMap<(String, String), HashSet<ReferenceId>>,
     identity_map: HashMap<ReferenceId, PatientId>,
+    /// `identity_map` inverted and sorted: one (patient, reference) pair
+    /// per mapped reference.
+    patient_references: BTreeSet<(PatientId, ReferenceId)>,
     hot_latency: SimDuration,
     cold_latency: SimDuration,
     injector: FaultInjector,
@@ -160,6 +163,7 @@ impl DataLake {
             records: HashMap::new(),
             tag_index: HashMap::new(),
             identity_map: HashMap::new(),
+            patient_references: BTreeSet::new(),
             hot_latency: SimDuration::from_micros(100),
             cold_latency: SimDuration::from_millis(20),
             injector: FaultInjector::disabled(),
@@ -291,9 +295,13 @@ impl DataLake {
         version
     }
 
-    /// Records the confidential reference-id → patient identity mapping.
+    /// Records the confidential reference-id → patient identity mapping,
+    /// replacing any earlier mapping of `reference`.
     pub fn map_identity(&mut self, reference: ReferenceId, patient: PatientId) {
-        self.identity_map.insert(reference, patient);
+        if let Some(previous) = self.identity_map.insert(reference, patient) {
+            self.patient_references.remove(&(previous, reference));
+        }
+        self.patient_references.insert((patient, reference));
     }
 
     /// Looks up the patient behind a reference id (re-identification; the
@@ -302,16 +310,15 @@ impl DataLake {
         self.identity_map.get(&reference).copied()
     }
 
-    /// All reference ids mapped to `patient` (for right-to-forget sweeps).
+    /// All reference ids mapped to `patient`, sorted (for exports and
+    /// right-to-forget sweeps).
     pub fn references_of(&self, patient: PatientId) -> Vec<ReferenceId> {
-        let mut refs: Vec<ReferenceId> = self
-            .identity_map
-            .iter()
-            .filter(|(_, p)| **p == patient)
-            .map(|(r, _)| *r)
-            .collect();
-        refs.sort();
-        refs
+        let first = (patient, ReferenceId::from_raw(0));
+        let last = (patient, ReferenceId::from_raw(u128::MAX));
+        self.patient_references
+            .range(first..=last)
+            .map(|&(_, reference)| reference)
+            .collect()
     }
 
     /// Reads the latest version, charging tier latency.
@@ -411,7 +418,9 @@ impl DataLake {
                 }
             }
         }
-        self.identity_map.remove(&reference);
+        if let Some(patient) = self.identity_map.remove(&reference) {
+            self.patient_references.remove(&(patient, reference));
+        }
         self.wal.append(reference.as_u128(), WalOp::Purge, b"");
         Ok(())
     }
@@ -636,6 +645,49 @@ mod tests {
         }
         assert!(lake.references_of(p).is_empty());
         assert_eq!(lake.identity_of(r3), Some(PatientId::from_raw(9)));
+    }
+
+    /// The full scan `references_of` replaced, kept as the oracle.
+    fn scan_references_of(lake: &DataLake, patient: PatientId) -> Vec<ReferenceId> {
+        let mut refs: Vec<ReferenceId> = lake
+            .identity_map
+            .iter()
+            .filter(|(_, p)| **p == patient)
+            .map(|(r, _)| *r)
+            .collect();
+        refs.sort();
+        refs
+    }
+
+    proptest::proptest! {
+        /// Random map, remap and purge sequences over a few references and
+        /// patients: after every step the index answers as the scan does
+        /// and holds one pair per mapped reference.
+        #[test]
+        fn patient_index_matches_the_identity_scan(
+            ops in proptest::collection::vec((0u8..3, 0u8..6, 0u8..4), 0..80),
+        ) {
+            let (mut lake, mut rng) = lake();
+            let references: Vec<ReferenceId> =
+                (0..6).map(|_| lake.put(&mut rng, b"r".to_vec(), &[])).collect();
+            for (op, r, p) in ops {
+                let reference = references[r as usize];
+                let patient = PatientId::from_raw(u128::from(p));
+                if op == 2 {
+                    let _ = lake.purge(reference);
+                } else {
+                    lake.map_identity(reference, patient);
+                }
+                for raw in 0..4u128 {
+                    let patient = PatientId::from_raw(raw);
+                    proptest::prop_assert_eq!(
+                        lake.references_of(patient),
+                        scan_references_of(&lake, patient)
+                    );
+                }
+                proptest::prop_assert_eq!(lake.patient_references.len(), lake.identity_map.len());
+            }
+        }
     }
 
     #[test]

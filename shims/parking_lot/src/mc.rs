@@ -236,10 +236,18 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
-    struct CountingProbe(AtomicUsize);
+    /// Counts the events emitted on the thread that built it. The probe is
+    /// process-global, so the other tests' locks, on their own test
+    /// threads, reach it too while it is installed.
+    struct CountingProbe {
+        owner: std::thread::ThreadId,
+        events: AtomicUsize,
+    }
     impl Probe for CountingProbe {
         fn event(&self, _ev: ProbeEvent<'_>) {
-            self.0.fetch_add(1, Ordering::Relaxed);
+            if std::thread::current().id() == self.owner {
+                self.events.fetch_add(1, Ordering::Relaxed);
+            }
             // Nested emissions must be swallowed by the reentrancy guard.
             emit(ProbeEvent::Yield);
         }
@@ -247,13 +255,16 @@ mod tests {
 
     #[test]
     fn probe_receives_events_and_reentrancy_is_blocked() {
-        let probe = Arc::new(CountingProbe(AtomicUsize::new(0)));
+        let probe = Arc::new(CountingProbe {
+            owner: std::thread::current().id(),
+            events: AtomicUsize::new(0),
+        });
         set_probe(probe.clone());
         emit(ProbeEvent::Yield);
         emit(ProbeEvent::Access { loc: "x", write: true });
         clear_probe();
         emit(ProbeEvent::Yield); // dropped: no probe installed
-        assert_eq!(probe.0.load(Ordering::Relaxed), 2);
+        assert_eq!(probe.events.load(Ordering::Relaxed), 2);
     }
 
     #[test]
