@@ -10,7 +10,7 @@ use rand::Rng;
 use serde::{DeError, Deserialize, Reader, Serialize, Writer};
 
 use crate::chacha20::{self, Nonce};
-use crate::hmac;
+use crate::hmac::{self, HmacKey};
 use crate::sha256::Digest;
 
 /// A 256-bit shared secret key.
@@ -126,9 +126,9 @@ impl std::fmt::Display for OpenError {
 impl std::error::Error for OpenError {}
 
 /// The tag over nonce ‖ aad length ‖ aad ‖ ciphertext, hashed in place.
-fn mac(mac_key: &SecretKey, nonce: &Nonce, aad: &[u8], ciphertext: &[u8]) -> Digest {
+fn mac(mac_key: &HmacKey, nonce: &Nonce, aad: &[u8], ciphertext: &[u8]) -> Digest {
     let aad_len = (aad.len() as u64).to_le_bytes();
-    hmac::hmac_parts(mac_key.as_bytes(), &[&nonce.0, &aad_len, aad, ciphertext])
+    mac_key.tag_parts(&[&nonce.0, &aad_len, aad, ciphertext])
 }
 
 /// Seals `plaintext` under `key` with a deterministic per-key nonce counter
@@ -159,21 +159,24 @@ pub fn open(key: &SecretKey, sealed: &Sealed, aad: &[u8]) -> Result<Vec<u8>, Ope
     DerivedKey::new(key.clone()).open(sealed, aad)
 }
 
-/// A key with its encryption and MAC subkeys derived (8 SHA-256
-/// compressions). The free [`seal`] and [`open`] derive them on every call;
-/// a holder that seals and opens under one key many times (the KMS master
-/// key) keeps a `DerivedKey` and gets the same bytes and verdicts.
+/// A key with its encryption and MAC subkeys derived, and the MAC key's
+/// HMAC pads absorbed (8 SHA-256 compressions in all; both derivations
+/// share the parent key's absorbed pads). The free [`seal`] and [`open`]
+/// derive them on every call; a holder that seals and opens under one key
+/// many times (the KMS master key) keeps a `DerivedKey` and gets the same
+/// bytes and verdicts.
 pub(crate) struct DerivedKey {
     key: SecretKey,
     enc: SecretKey,
-    mac: SecretKey,
+    mac: HmacKey,
 }
 
 impl DerivedKey {
     pub(crate) fn new(key: SecretKey) -> Self {
+        let parent = HmacKey::new(key.as_bytes());
         DerivedKey {
-            enc: key.derive(b"enc"),
-            mac: key.derive(b"mac"),
+            enc: SecretKey(parent.derive(b"enc")),
+            mac: HmacKey::new(&parent.derive(b"mac")),
             key,
         }
     }

@@ -52,6 +52,10 @@ pub struct FullExport {
     pub bundle: Bundle,
     /// pseudonym → original logical id, per the consented records.
     pub reidentification: HashMap<String, String>,
+    /// The patient's records that could not be opened (shredded key,
+    /// tombstoned record), in reference order. They are neither in the
+    /// bundle nor anchored as exported.
+    pub unreadable: Vec<ReferenceId>,
 }
 
 /// Most records [`OpenedRecords`] holds. Its memory is bounded by this
@@ -313,11 +317,14 @@ impl ExportService {
     }
 
     /// Full (re-identified) export of one patient's records, gated on
-    /// export-scope consent.
+    /// export-scope consent. Every record is opened before any is
+    /// anchored, so the ledger records an export of exactly the records
+    /// returned; the others are listed as unreadable.
     ///
     /// # Errors
     ///
-    /// Fails without consent, or when the patient has no records.
+    /// Fails without consent, when the patient has no records, or when
+    /// none of them opens.
     pub fn export_full(&self, patient: PatientId) -> Result<FullExport, ExportError> {
         {
             let consent = self.shared.consent.lock();
@@ -332,10 +339,20 @@ impl ExportService {
         if references.is_empty() {
             return Err(ExportError::NothingToExport);
         }
+        let mut opened = Vec::with_capacity(references.len());
+        let mut unreadable = Vec::new();
+        for reference in references {
+            match self.open_record(reference) {
+                Ok(bundle) => opened.push((reference, bundle)),
+                Err(_) => unreadable.push(reference),
+            }
+        }
+        if let ([], [first, ..]) = (opened.as_slice(), unreadable.as_slice()) {
+            return Err(ExportError::Unreadable(*first));
+        }
         let mut merged = Bundle::new(BundleKind::Collection, Vec::new());
         let mut reidentification = HashMap::new();
-        for reference in references {
-            let bundle = self.open_record(reference)?;
+        for (reference, bundle) in opened {
             merged.extend(bundle.iter().cloned());
             if let Some(map) = self.shared.pseudonyms.lock().get(&reference) {
                 for (original, pseudonym) in map {
@@ -347,6 +364,7 @@ impl ExportService {
         Ok(FullExport {
             bundle: merged,
             reidentification,
+            unreadable,
         })
     }
 }
@@ -694,7 +712,7 @@ mod tests {
                     Ok(full) => {
                         let mut map: Vec<_> = full.reidentification.into_iter().collect();
                         map.sort();
-                        format!("{} {map:?}", full.bundle.to_json())
+                        format!("{} {map:?} {:?}", full.bundle.to_json(), full.unreadable)
                     }
                     Err(e) => format!("{e:?}"),
                 }

@@ -960,9 +960,10 @@ impl IngestionPipeline {
             .insert(reference, ready.pseudonyms);
         mark(5, &mut stage_start);
 
-        // 7. Anchor provenance. Under a ledger partition these buffer
-        // in degraded mode and replay on heal, so a reachable ledger is
-        // not a prerequisite for accepting patient data.
+        // 7. Anchor provenance. A flush that fails under a ledger
+        // partition keeps its batch in the provenance queue, and a later
+        // record or flush commits it, so a reachable ledger is not a
+        // prerequisite for accepting patient data.
         self.anchor(ProvenanceEvent {
             record: reference,
             data_hash,

@@ -69,16 +69,39 @@ impl MalwareScanner {
     }
 }
 
+/// The first offset of `needle` in `haystack`: skips to each occurrence of
+/// the needle's first byte and compares the rest only there.
 fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    if needle.len() > haystack.len() {
-        return None;
+    let (&first, rest) = needle.split_first()?;
+    let last_start = haystack.len().checked_sub(needle.len())?;
+    let mut from = 0;
+    while let Some(skip) = haystack
+        .get(from..=last_start)?
+        .iter()
+        .position(|&b| b == first)
+    {
+        let at = from + skip;
+        if haystack.get(at + 1..at + needle.len()) == Some(rest) {
+            return Some(at);
+        }
+        from = at + 1;
     }
-    haystack.windows(needle.len()).position(|w| w == needle)
+    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The window-by-window search `find` replaced, kept as the reference
+    /// the differential test compares against.
+    fn find_oracle(haystack: &[u8], needle: &[u8]) -> Option<usize> {
+        if needle.len() > haystack.len() {
+            return None;
+        }
+        haystack.windows(needle.len()).position(|w| w == needle)
+    }
 
     #[test]
     fn clean_data_passes() {
@@ -116,5 +139,50 @@ mod tests {
     #[should_panic(expected = "empty signatures")]
     fn empty_signature_panics() {
         MalwareScanner::new().add_signature("bad", b"");
+    }
+
+    #[test]
+    fn find_agrees_with_the_oracle_at_the_edges() {
+        let needle = b"abcab";
+        let cases: [&[u8]; 9] = [
+            b"abcab",          // the whole haystack
+            b"abcabxxxx",      // at offset 0
+            b"xxxxabcab",      // at the end
+            b"ababcab",        // a partial match overlapping the real one at 2
+            b"aaaaabcab",      // runs of the first byte before the match
+            b"axaxaxax",       // first-byte-only near misses
+            b"abcaXabcaXabca", // near misses that fail on the last byte
+            b"abca",           // shorter than the needle
+            b"",
+        ];
+        for haystack in cases {
+            assert_eq!(
+                find(haystack, needle),
+                find_oracle(haystack, needle),
+                "{:?}",
+                String::from_utf8_lossy(haystack)
+            );
+        }
+        assert_eq!(find(b"ababcab", needle), Some(2));
+        assert_eq!(find(b"xa", b"a"), Some(1));
+    }
+
+    proptest! {
+        #[test]
+        fn find_matches_the_window_oracle(
+            noise in proptest::collection::vec(0u8..3, 0..4096),
+            needle in proptest::collection::vec(0u8..3, 1..6),
+            plant in proptest::collection::vec(0usize..4096, 0..3),
+        ) {
+            // A three-letter alphabet makes first-byte hits, near misses
+            // and overlapping partial matches common.
+            let mut haystack = noise;
+            for at in plant {
+                let at = at % (haystack.len() + 1);
+                haystack.splice(at..at, needle.iter().copied());
+            }
+            prop_assert_eq!(find(&haystack, &needle), find_oracle(&haystack, &needle));
+            prop_assert_eq!(find(&needle, &needle), Some(0));
+        }
     }
 }

@@ -12,6 +12,7 @@
 //! secure deletion).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 use hc_common::clock::{SimClock, SimDuration};
 use hc_common::fault::{FaultInjector, FaultKind};
@@ -36,13 +37,39 @@ pub enum Tier {
     Cold,
 }
 
+/// Stored bytes, shared: a clone takes a reference, not a copy, so a
+/// reader carries a version's bytes out from under the lake lock for the
+/// price of a counter increment.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct SharedBytes(Arc<Vec<u8>>);
+
+impl std::ops::Deref for SharedBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl From<Vec<u8>> for SharedBytes {
+    fn from(bytes: Vec<u8>) -> Self {
+        SharedBytes(Arc::new(bytes))
+    }
+}
+
+impl<const N: usize> PartialEq<&[u8; N]> for SharedBytes {
+    fn eq(&self, other: &&[u8; N]) -> bool {
+        self.0.as_slice() == other.as_slice()
+    }
+}
+
 /// One stored version of a record.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct StoredVersion {
     /// 1-based version number.
     pub version: u32,
     /// The (normally sealed/encrypted) payload bytes.
-    pub data: Vec<u8>,
+    pub data: SharedBytes,
     /// Free-form metadata tags.
     pub tags: BTreeMap<String, String>,
     /// Which tier the bytes live on.
@@ -287,7 +314,7 @@ impl DataLake {
         }
         entry.versions.push(StoredVersion {
             version,
-            data,
+            data: data.into(),
             tags: tag_map,
             tier: Tier::Hot,
         });
@@ -509,28 +536,22 @@ impl DataLake {
     /// Crash-recovery check: replays the WAL and verifies that every
     /// live record's versions match the logged `Put` payloads in order
     /// and that tombstoned/purged records are absent. Returns the list
-    /// of discrepancies (empty = consistent).
+    /// of discrepancies (empty = consistent). The logged payloads are
+    /// compared where they lie in the log, without copies.
     pub fn verify_against_wal(&self) -> Vec<String> {
-        use std::collections::HashMap as Map;
-        let (records, err) = self.wal.replay();
-        let mut problems = Vec::new();
-        if let Some(e) = err {
-            problems.push(format!("wal corruption: {e}"));
-            return problems;
-        }
-        // Rebuild expected state from the log.
-        let mut expected: Map<u128, (Vec<Vec<u8>>, bool)> = Map::new(); // (versions, tombstoned)
-        for r in records {
-            match r.op {
-                WalOp::Put => expected.entry(r.key).or_default().0.push(r.payload),
-                WalOp::Delete => {
-                    expected.entry(r.key).or_default().1 = true;
-                }
-                WalOp::Purge => {
-                    expected.remove(&r.key);
-                }
+        // Rebuild expected state from the log: (versions, tombstoned).
+        let mut expected: HashMap<u128, (Vec<&[u8]>, bool)> = HashMap::new();
+        let err = self.wal.visit(|r| match r.op {
+            WalOp::Put => expected.entry(r.key).or_default().0.push(r.payload),
+            WalOp::Delete => expected.entry(r.key).or_default().1 = true,
+            WalOp::Purge => {
+                expected.remove(&r.key);
             }
+        });
+        if let Some(e) = err {
+            return vec![format!("wal corruption: {e}")];
         }
+        let mut problems = Vec::new();
         for (key, (versions, tombstoned)) in &expected {
             let reference = ReferenceId::from_raw(*key);
             match self.records.get(&reference) {
@@ -546,10 +567,9 @@ impl DataLake {
                             versions.len()
                         ));
                     } else {
-                        for (i, (stored, logged)) in
-                            entry.versions.iter().zip(versions).enumerate()
+                        for (i, (stored, logged)) in entry.versions.iter().zip(versions).enumerate()
                         {
-                            if &stored.data != logged {
+                            if *stored.data != **logged {
                                 problems.push(format!(
                                     "record {reference} version {} diverges from WAL",
                                     i + 1
@@ -766,7 +786,7 @@ mod wal_recovery_tests {
         let r = lake.put(&mut rng, b"original".to_vec(), &[]);
         // Bypass the WAL: mutate in-memory state directly (simulated
         // memory corruption / bug).
-        lake.records.get_mut(&r).unwrap().versions[0].data = b"corrupt".to_vec();
+        lake.records.get_mut(&r).unwrap().versions[0].data = b"corrupt".to_vec().into();
         let problems = lake.verify_against_wal();
         assert_eq!(problems.len(), 1);
         assert!(problems[0].contains("diverges from WAL"));

@@ -32,12 +32,49 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// Folds `data` into a running (pre-inverted) CRC-32 register.
+/// Slicing-by-8 tables: `CRC_TABLES[k][b]` is the register contribution
+/// of byte value `b` followed by `k` zero bytes, so eight bytes fold in
+/// with eight independent lookups. Built at compile time from
+/// [`CRC_TABLE`], which is `CRC_TABLES[0]`.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    tables[0] = CRC_TABLE;
+    let mut k = 1;
+    while k < 8 {
+        let mut byte = 0;
+        while byte < 256 {
+            let prev = tables[k - 1][byte];
+            tables[k][byte] = (prev >> 8) ^ CRC_TABLE[(prev & 0xff) as usize];
+            byte += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// `table`'s entry for `byte`, which is always below the table's length.
+fn entry(table: &[u32; 256], byte: u8) -> u32 {
+    table[usize::from(byte)] // hc-lint: allow(panic-index)
+}
+
+/// Folds `data` into a running (pre-inverted) CRC-32 register, eight
+/// bytes per step.
 fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
-    for &byte in data {
-        let index = ((crc ^ u32::from(byte)) & 0xff) as usize;
-        // The index is masked to 0..=255, the table's length.
-        crc = (crc >> 8) ^ CRC_TABLE[index]; // hc-lint: allow(panic-index)
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
+    let (words, tail) = data.as_chunks::<8>();
+    for &[b0, b1, b2, b3, b4, b5, b6, b7] in words {
+        let [r0, r1, r2, r3] = crc.to_le_bytes();
+        crc = entry(t7, b0 ^ r0)
+            ^ entry(t6, b1 ^ r1)
+            ^ entry(t5, b2 ^ r2)
+            ^ entry(t4, b3 ^ r3)
+            ^ entry(t3, b4)
+            ^ entry(t2, b5)
+            ^ entry(t1, b6)
+            ^ entry(t0, b7);
+    }
+    for &byte in tail {
+        crc = (crc >> 8) ^ entry(t0, crc as u8 ^ byte);
     }
     crc
 }
@@ -59,9 +96,11 @@ pub enum WalOp {
     Purge = 2,
 }
 
-/// One durable log record.
+/// One durable log record: its payload owned, as [`WriteAheadLog::replay`]
+/// returns it, or borrowed from the log (`WalRecord<&[u8]>`), as
+/// [`WriteAheadLog::visit`] lends it.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct WalRecord {
+pub struct WalRecord<P = Vec<u8>> {
     /// Monotonic sequence number.
     pub seq: u64,
     /// The affected record key (reference id raw value).
@@ -69,13 +108,13 @@ pub struct WalRecord {
     /// What happened.
     pub op: WalOp,
     /// Operation payload (serialized version data; empty for deletes).
-    pub payload: Vec<u8>,
+    pub payload: P,
 }
 
-impl WalRecord {
+impl<'a> WalRecord<&'a [u8]> {
     /// Decodes a record body (everything after the crc field), or `None`
     /// when it is shorter than the header or names an unknown op.
-    fn decode(body: &[u8]) -> Option<WalRecord> {
+    fn decode(body: &'a [u8]) -> Option<Self> {
         let (seq, rest) = body.split_first_chunk::<8>()?;
         let (key, rest) = rest.split_first_chunk::<16>()?;
         let (&op, payload) = rest.split_first()?;
@@ -89,7 +128,7 @@ impl WalRecord {
             seq: u64::from_le_bytes(*seq),
             key: u128::from_le_bytes(*key),
             op,
-            payload: payload.to_vec(),
+            payload,
         })
     }
 }
@@ -213,30 +252,45 @@ impl WriteAheadLog {
     /// far alongside the error — the standard crash-recovery contract.
     pub fn replay(&self) -> (Vec<WalRecord>, Option<WalError>) {
         let mut records = Vec::new();
+        let err = self.visit(|r| {
+            records.push(WalRecord {
+                seq: r.seq,
+                key: r.key,
+                op: r.op,
+                payload: r.payload.to_vec(),
+            });
+        });
+        (records, err)
+    }
+
+    /// [`replay`](Self::replay) without copying: hands each verified
+    /// record to `visit`, its payload borrowed from the log, in order.
+    /// Returns the first corruption, which ends the walk.
+    pub fn visit<'a>(&'a self, mut visit: impl FnMut(WalRecord<&'a [u8]>)) -> Option<WalError> {
         let mut offset = 0usize;
         let mut rest = self.buf.as_slice();
         while !rest.is_empty() {
             let Some((len, after_len)) = rest.split_first_chunk::<4>() else {
-                return (records, Some(WalError::TruncatedRecord { offset }));
+                return Some(WalError::TruncatedRecord { offset });
             };
             let Some((stored_crc, after_crc)) = after_len.split_first_chunk::<4>() else {
-                return (records, Some(WalError::TruncatedRecord { offset }));
+                return Some(WalError::TruncatedRecord { offset });
             };
             let len = u32::from_le_bytes(*len) as usize;
             let Some((body, next)) = after_crc.split_at_checked(len) else {
-                return (records, Some(WalError::TruncatedRecord { offset }));
+                return Some(WalError::TruncatedRecord { offset });
             };
             if crc32(body) != u32::from_le_bytes(*stored_crc) {
-                return (records, Some(WalError::ChecksumMismatch { offset }));
+                return Some(WalError::ChecksumMismatch { offset });
             }
             let Some(record) = WalRecord::decode(body) else {
-                return (records, Some(WalError::MalformedRecord { offset }));
+                return Some(WalError::MalformedRecord { offset });
             };
-            records.push(record);
+            visit(record);
             offset += 8 + len;
             rest = next;
         }
-        (records, None)
+        None
     }
 }
 
@@ -359,9 +413,21 @@ mod tests {
     proptest! {
         #[test]
         fn table_crc_matches_bitwise_definition(
-            data in proptest::collection::vec(any::<u8>(), 0..512)
+            data in proptest::collection::vec(any::<u8>(), 0..4096),
+            splits in proptest::collection::vec(0usize..4096, 0..4),
         ) {
-            prop_assert_eq!(crc32(&data), crc32_bitwise(&data));
+            let mut cuts: Vec<usize> = splits.iter().map(|s| s % (data.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut crc = !0;
+            let mut from = 0;
+            for cut in cuts {
+                crc = crc32_update(crc, &data[from..cut]);
+                from = cut;
+            }
+            crc = crc32_update(crc, &data[from..]);
+            let expected = crc32_bitwise(&data);
+            prop_assert_eq!(!crc, expected);
+            prop_assert_eq!(crc32(&data), expected);
         }
 
         #[test]

@@ -7,6 +7,7 @@ use hc_core::monitoring;
 use hc_core::platform::{demo_bundle, HealthCloudPlatform, PlatformConfig};
 use hc_crypto::aead::Sealed;
 use hc_crypto::sha256;
+use hc_ingest::export::ExportError;
 use hc_ingest::status::IngestionStatus;
 use hc_ledger::chain::ChainStatus;
 use hc_ledger::provenance::ProvenanceAction;
@@ -148,4 +149,58 @@ fn many_patients_parallel_ingestion() {
     // heights (verified above).
     let provenance = platform.provenance.lock();
     assert_eq!(provenance.ledger().height(), 90);
+}
+
+#[test]
+fn full_export_returns_and_records_only_the_records_it_opens() {
+    // The default batch leaves events pending until `verify_ledger`
+    // commits them.
+    let platform = HealthCloudPlatform::bootstrap(PlatformConfig::default());
+    let patient = PatientId::from_raw(77);
+    let device = platform.register_patient_device(patient);
+    let records: Vec<_> = ["p77a", "p77b", "p77c"]
+        .into_iter()
+        .map(|id| {
+            let url = platform.upload(&device, &demo_bundle(id, true)).unwrap();
+            platform.process_ingestion();
+            let Some(IngestionStatus::Stored { references }) = platform.ingestion_status(url)
+            else {
+                panic!("upload of {id} should store");
+            };
+            references[0]
+        })
+        .collect();
+    let key_of = |record| {
+        let mut lake = platform.lake.lock();
+        let dek = &lake.get_latest(record).unwrap().tags["dek"];
+        KeyId::from_raw(dek.parse().unwrap())
+    };
+    let shredded = records[1];
+    platform.kms.shred(key_of(shredded));
+
+    let export = platform.export_service();
+    let full = export.export_full(patient).unwrap();
+    assert_eq!(full.unreadable, [shredded]);
+    assert_eq!(full.bundle.len(), 2 * 3, "two records of three resources");
+    let exported = |record| {
+        platform
+            .audit_record(record)
+            .iter()
+            .filter(|e| e.action == ProvenanceAction::Exported)
+            .count()
+    };
+    assert_eq!(platform.verify_ledger(), ChainStatus::Valid);
+    let counts: Vec<usize> = records.iter().map(|&r| exported(r)).collect();
+    assert_eq!(counts, [1, 0, 1]);
+
+    // With no record left to open, the export fails and records nothing.
+    platform.kms.shred(key_of(records[0]));
+    platform.kms.shred(key_of(records[2]));
+    assert!(matches!(
+        export.export_full(patient),
+        Err(ExportError::Unreadable(r)) if records.contains(&r)
+    ));
+    assert_eq!(platform.verify_ledger(), ChainStatus::Valid);
+    let counts: Vec<usize> = records.iter().map(|&r| exported(r)).collect();
+    assert_eq!(counts, [1, 0, 1]);
 }
