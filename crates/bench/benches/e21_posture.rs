@@ -10,14 +10,14 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use hc_posture::demo::{plant_violations, planted_config, DemoDeployment};
+use hc_posture::demo::{demo_config, plant_violations, DemoDeployment};
 use hc_posture::scan::scan;
 use hc_posture::snapshot::PlatformSnapshot;
 
 fn bench_posture(c: &mut Criterion) {
     let mut demo = DemoDeployment::build(42).expect("demo builds");
     let planted = plant_violations(&mut demo).expect("plants apply");
-    let config = planted_config();
+    let config = demo_config();
 
     let mut group = c.benchmark_group("e21_posture");
 

@@ -1,31 +1,21 @@
-//! Multi-client cache consistency via an invalidation bus.
+//! The invalidation bus behind multi-client cache consistency.
 //!
 //! §III: "If the data are changing frequently, cache consistency
 //! algorithms need to be applied to keep multiple versions of the data
 //! consistent." A single [`crate::multilevel::CacheHierarchy`] handles
 //! its own levels; *multiple independent clients* caching the same origin
-//! need a protocol. The [`InvalidationBus`] implements the standard
-//! write-invalidate scheme: every server-side write publishes the key,
-//! each subscribed client drains its invalidation queue before serving
-//! reads, and a version counter lets tests (and monitoring) measure the
-//! stale-read window that remains between publish and drain.
+//! need a protocol. The [`InvalidationBus`] carries the standard
+//! write-invalidate scheme: every origin write publishes the key, and
+//! each subscribed client drains its [`Subscription`] before serving a
+//! read. [`crate::shard::ShardedOrigin`] runs one bus per shard, and its
+//! [`crate::shard::ShardedClient`]s are the subscribers; at one shard
+//! that is the unsharded protocol.
 
-use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use crossbeam::channel::{unbounded, Sender, TryRecvError};
 use parking_lot::Mutex;
-
-use crate::policy::CachePolicy;
-
-/// A versioned origin store shared by all clients.
-#[derive(Debug)]
-pub struct VersionedOrigin<K, V> {
-    entries: Mutex<HashMap<K, (V, u64)>>,
-    bus: InvalidationBus<K>,
-}
 
 type SubscriberList<K> = Mutex<Vec<(u64, Sender<K>)>>;
 
@@ -121,238 +111,9 @@ impl<K: Clone> InvalidationBus<K> {
     }
 }
 
-impl<K: Clone + Eq + Hash, V: Clone> VersionedOrigin<K, V> {
-    /// Creates an empty origin.
-    pub fn new() -> Arc<Self> {
-        Arc::new(VersionedOrigin {
-            entries: Mutex::new(HashMap::new()),
-            bus: InvalidationBus::new(),
-        })
-    }
-
-    /// Writes a value, bumping its version and publishing an
-    /// invalidation.
-    pub fn write(&self, key: K, value: V) -> u64 {
-        let mut entries = self.entries.lock();
-        let version = entries.get(&key).map(|(_, v)| v + 1).unwrap_or(1);
-        entries.insert(key.clone(), (value, version));
-        drop(entries);
-        self.bus.publish(&key);
-        version
-    }
-
-    /// Reads the current value and version.
-    pub fn read(&self, key: &K) -> Option<(V, u64)> {
-        self.entries.lock().get(key).cloned()
-    }
-
-    /// The current version of a key (0 = absent).
-    pub fn version(&self, key: &K) -> u64 {
-        self.entries.lock().get(key).map(|(_, v)| *v).unwrap_or(0)
-    }
-
-    /// Number of live subscribers on the bus. Dropped clients prune
-    /// their slot on drop, so this reflects them immediately.
-    pub fn subscriber_count(&self) -> usize {
-        self.bus.subscriber_count()
-    }
-}
-
-impl<K: Clone + Eq + Hash, V: Clone> Default for VersionedOrigin<K, V> {
-    fn default() -> Self {
-        VersionedOrigin {
-            entries: Mutex::new(HashMap::new()),
-            bus: InvalidationBus::new(),
-        }
-    }
-}
-
-/// A client cache kept consistent through the bus.
-pub struct ConsistentClient<K, V, C> {
-    origin: Arc<VersionedOrigin<K, V>>,
-    cache: C,
-    inbox: Subscription<K>,
-    stale_reads: u64,
-    _value: std::marker::PhantomData<V>,
-}
-
-impl<K, V, C: std::fmt::Debug> std::fmt::Debug for ConsistentClient<K, V, C> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ConsistentClient")
-            .field("cache", &self.cache)
-            .field("stale_reads", &self.stale_reads)
-            .finish()
-    }
-}
-
-impl<K, V, C> ConsistentClient<K, V, C>
-where
-    K: Clone + Eq + Hash,
-    V: Clone,
-    C: CachePolicy<K, (V, u64)>,
-{
-    /// Subscribes a new client with its own cache.
-    pub fn subscribe(origin: Arc<VersionedOrigin<K, V>>, cache: C) -> Self {
-        let inbox = origin.bus.subscribe();
-        ConsistentClient {
-            origin,
-            cache,
-            inbox,
-            stale_reads: 0,
-            _value: std::marker::PhantomData,
-        }
-    }
-
-    /// Applies all pending invalidations. Returns how many were applied.
-    pub fn drain_invalidations(&mut self) -> usize {
-        let mut applied = 0;
-        while let Ok(key) = self.inbox.try_recv() {
-            self.cache.invalidate(&key);
-            applied += 1;
-        }
-        applied
-    }
-
-    /// Consistent read: drains invalidations, then serves from cache or
-    /// origin. With this protocol a read never returns a value older
-    /// than the last write that was *published before the read began*.
-    pub fn read(&mut self, key: &K) -> Option<V> {
-        self.drain_invalidations();
-        if let Some((value, version)) = self.cache.get(key) {
-            // Instrumentation: count residual staleness (only possible
-            // from writes racing this read).
-            if version != self.origin.version(key) {
-                self.stale_reads += 1;
-            }
-            return Some(value);
-        }
-        let (value, version) = self.origin.read(key)?;
-        self.cache.put(key.clone(), (value.clone(), version));
-        Some(value)
-    }
-
-    /// Unsafe-mode read that skips draining (quantifies what the
-    /// protocol buys; used by tests and E2 commentary).
-    pub fn read_without_draining(&mut self, key: &K) -> Option<V> {
-        if let Some((value, version)) = self.cache.get(key) {
-            if version != self.origin.version(key) {
-                self.stale_reads += 1;
-            }
-            return Some(value);
-        }
-        let (value, version) = self.origin.read(key)?;
-        self.cache.put(key.clone(), (value.clone(), version));
-        Some(value)
-    }
-
-    /// Stale reads observed so far.
-    pub fn stale_reads(&self) -> u64 {
-        self.stale_reads
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::LruCache;
-
-    type Client = ConsistentClient<String, u64, LruCache<String, (u64, u64)>>;
-
-    fn client(origin: &Arc<VersionedOrigin<String, u64>>) -> Client {
-        ConsistentClient::subscribe(Arc::clone(origin), LruCache::new(16))
-    }
-
-    #[test]
-    fn writes_invalidate_all_subscribers() {
-        let origin = VersionedOrigin::new();
-        let mut a = client(&origin);
-        let mut b = client(&origin);
-        origin.write("k".into(), 1);
-        assert_eq!(a.read(&"k".to_string()), Some(1));
-        assert_eq!(b.read(&"k".to_string()), Some(1));
-        origin.write("k".into(), 2);
-        assert_eq!(a.read(&"k".to_string()), Some(2), "a sees the new value");
-        assert_eq!(b.read(&"k".to_string()), Some(2), "b sees the new value");
-        assert_eq!(a.stale_reads() + b.stale_reads(), 0);
-    }
-
-    #[test]
-    fn skipping_the_protocol_serves_stale_data() {
-        let origin = VersionedOrigin::new();
-        let mut a = client(&origin);
-        origin.write("k".into(), 1);
-        assert_eq!(a.read(&"k".to_string()), Some(1));
-        origin.write("k".into(), 2);
-        // Without draining, the cached version 1 is served — stale.
-        assert_eq!(a.read_without_draining(&"k".to_string()), Some(1));
-        assert_eq!(a.stale_reads(), 1);
-        // The protocolful read repairs it.
-        assert_eq!(a.read(&"k".to_string()), Some(2));
-    }
-
-    #[test]
-    fn drain_applies_each_invalidation_once() {
-        let origin = VersionedOrigin::new();
-        let mut a = client(&origin);
-        origin.write("x".into(), 1);
-        origin.write("y".into(), 1);
-        let _ = a.read(&"x".to_string());
-        origin.write("x".into(), 2);
-        origin.write("y".into(), 2);
-        assert_eq!(a.drain_invalidations(), 2);
-        assert_eq!(a.drain_invalidations(), 0);
-    }
-
-    #[test]
-    fn absent_keys_are_none() {
-        let origin: Arc<VersionedOrigin<String, u64>> = VersionedOrigin::new();
-        let mut a = client(&origin);
-        assert_eq!(a.read(&"ghost".to_string()), None);
-    }
-
-    #[test]
-    fn versions_monotonically_increase() {
-        let origin: Arc<VersionedOrigin<String, u64>> = VersionedOrigin::new();
-        assert_eq!(origin.write("k".into(), 10), 1);
-        assert_eq!(origin.write("k".into(), 20), 2);
-        assert_eq!(origin.version(&"k".to_string()), 2);
-        assert_eq!(origin.version(&"ghost".to_string()), 0);
-    }
-
-    #[test]
-    fn dropped_subscribers_are_pruned() {
-        let origin: Arc<VersionedOrigin<String, u64>> = VersionedOrigin::new();
-        {
-            let _short_lived = client(&origin);
-        }
-        // Publishing after the subscriber dropped must not error or leak.
-        origin.write("k".into(), 1);
-        origin.write("k".into(), 2);
-        let mut a = client(&origin);
-        assert_eq!(a.read(&"k".to_string()), Some(2));
-    }
-
-    #[test]
-    fn dropped_subscriber_frees_slot_without_a_publish() {
-        let origin: Arc<VersionedOrigin<String, u64>> = VersionedOrigin::new();
-        let keep = client(&origin);
-        {
-            let _a = client(&origin);
-            let _b = client(&origin);
-            assert_eq!(origin.subscriber_count(), 3);
-        }
-        // Regression: pruning used to happen only inside publish, so a
-        // subscriber that crashed and never saw another write leaked its
-        // slot forever. Drop now reclaims it eagerly.
-        assert_eq!(origin.subscriber_count(), 1);
-        origin.write("k".into(), 1);
-        assert_eq!(origin.subscriber_count(), 1);
-        drop(keep);
-        assert_eq!(origin.subscriber_count(), 0);
-        // Publishing into an empty bus is a no-op, not an error.
-        origin.write("k".into(), 2);
-        assert_eq!(origin.subscriber_count(), 0);
-    }
 
     #[test]
     fn subscription_outliving_bus_drops_cleanly() {

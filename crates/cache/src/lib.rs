@@ -15,15 +15,15 @@
 //! * [`multilevel`] — the client → server → origin [`multilevel::CacheHierarchy`]
 //!   with per-level access latencies on the simulated clock, read-through
 //!   fills and write-invalidate consistency.
-//! * [`invalidation`] — the multi-client consistency protocol: a
-//!   versioned origin publishes invalidations to every subscribed client
-//!   cache (the "cache consistency algorithms" §III calls for).
+//! * [`invalidation`] — the invalidation bus of the multi-client
+//!   consistency protocol (the "cache consistency algorithms" §III
+//!   calls for): origin writes publish keys to every subscribed client.
 //! * [`shard`] — the multi-core serving path: a lock-striped
 //!   [`shard::ShardedCache`] (N power-of-two stripes, seeded-hash
-//!   routing, per-shard eviction state and telemetry) and the sharded
-//!   invalidation protocol ([`shard::ShardedOrigin`] /
-//!   [`shard::ShardedClient`]) preserving the consistency semantics
-//!   above while letting reader threads proceed in parallel.
+//!   routing, per-shard eviction state and telemetry) and the
+//!   write-invalidate protocol over one bus per shard
+//!   ([`shard::ShardedOrigin`] / [`shard::ShardedClient`]; one shard is
+//!   the unsharded case), letting reader threads proceed in parallel.
 //! * [`fleet`] — the multi-node serving path: a consistent-hash ring
 //!   of cache nodes placed across simulated regions
 //!   ([`fleet::CacheFleet`]), with R-way replication, read-repair, and

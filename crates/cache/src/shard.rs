@@ -1,9 +1,9 @@
 //! Lock-striped sharded caching for the multi-core serving hot path.
 //!
-//! The single-`Mutex` stores in [`crate::invalidation`] serialize every
-//! client request on one lock, so added cores buy nothing ("serves heavy
-//! traffic from millions of users" needs the opposite). This module
-//! stripes both halves of the serving path:
+//! A single-`Mutex` store serializes every client request on one lock,
+//! so added cores buy nothing ("serves heavy traffic from millions of
+//! users" needs the opposite). This module stripes both halves of the
+//! serving path:
 //!
 //! * [`ShardedCache`] — `N` power-of-two shards, each an independent
 //!   [`CachePolicy`] (LRU/LFU/TTL behaviour preserved per shard) behind
@@ -12,16 +12,16 @@
 //!   A `ShardedCache` with `shards = 1` *is* the global-lock baseline —
 //!   E18 measures exactly that configuration gap.
 //! * [`ShardedOrigin`] / [`ShardedClient`] — the write-invalidate
-//!   consistency protocol of [`crate::invalidation`], sharded: each
-//!   origin shard owns its own invalidation bus, and a client drains
-//!   only the bus shard a key routes to before serving it. The
-//!   consistency argument is per-shard identical to the unsharded
-//!   proof: a write inserts the new version into shard `s` *before*
-//!   publishing on bus `s`, and a read of a key in shard `s` drains bus
-//!   `s` before probing its local cache — so once the bus has delivered
-//!   an invalidation, the stale entry is gone before any later read of
-//!   that key ("an invalidated key is never served stale after the bus
-//!   delivers").
+//!   consistency protocol over [`crate::invalidation`]'s bus, sharded:
+//!   each origin shard owns its own invalidation bus, and a client
+//!   drains only the bus shard a key routes to before serving it. At
+//!   one shard this is the unsharded protocol, and the consistency
+//!   argument holds per shard: a write inserts the new version into
+//!   shard `s` *before* publishing on bus `s`, and a read of a key in
+//!   shard `s` drains bus `s` before probing its local cache — so once
+//!   the bus has delivered an invalidation, the stale entry is gone
+//!   before any later read of that key ("an invalidated key is never
+//!   served stale after the bus delivers").
 //!
 //! Per-shard hit/miss/eviction state stays inside each shard's
 //! [`CacheStats`]; [`ShardedCache::stats`] sums them, and
@@ -31,10 +31,9 @@
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use crate::invalidation::Subscription;
 use parking_lot::Mutex;
 
-use crate::invalidation::InvalidationBus;
+use crate::invalidation::{InvalidationBus, Subscription};
 use crate::policy::CachePolicy;
 use crate::stats::CacheStats;
 
@@ -315,10 +314,8 @@ impl<K: Hash + Eq + Ord + Clone, V: Clone> ShardedCache<K, V, crate::policy::Lfu
 
 /// A sharded versioned origin with a per-shard invalidation bus.
 ///
-/// The sharded counterpart of
-/// [`VersionedOrigin`](crate::invalidation::VersionedOrigin): writes
-/// lock one entry shard, bump the key's version, then publish on that
-/// shard's bus. Subscribing clients ([`ShardedClient`]) receive one
+/// Writes lock one entry shard, bump the key's version, then publish on
+/// that shard's bus. Subscribing clients ([`ShardedClient`]) receive one
 /// inbox per bus shard and drain only the shard a key routes to.
 pub struct ShardedOrigin<K, V> {
     entries: Vec<Mutex<std::collections::HashMap<K, (V, u64)>>>,
@@ -409,8 +406,7 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedOrigin<K, V> {
 }
 
 /// A client cache kept consistent with a [`ShardedOrigin`] through the
-/// sharded bus. One instance per reader thread (reads take `&mut self`,
-/// matching [`ConsistentClient`](crate::invalidation::ConsistentClient));
+/// sharded bus. One instance per reader thread (reads take `&mut self`);
 /// the origin itself is shared.
 pub struct ShardedClient<K, V, C> {
     origin: Arc<ShardedOrigin<K, V>>,
@@ -590,55 +586,108 @@ mod tests {
         assert_eq!(sum("puts"), 8);
     }
 
+    /// A client of `origin` with a local LRU of `capacity` per shard.
+    fn client(
+        origin: &Arc<ShardedOrigin<u64, u64>>,
+        capacity: usize,
+    ) -> ShardedClient<u64, u64, LruCache<u64, (u64, u64)>> {
+        let shards = origin.shard_count();
+        let seed = origin.router.seed;
+        ShardedClient::subscribe(
+            Arc::clone(origin),
+            ShardedCache::new(shards, seed, |_| LruCache::new(capacity)),
+        )
+    }
+
     #[test]
     fn sharded_origin_write_invalidate_read() {
-        let origin: Arc<ShardedOrigin<u64, u64>> = ShardedOrigin::new(4, 5);
-        let mut client = ShardedClient::subscribe(
-            Arc::clone(&origin),
-            ShardedCache::new(4, 5, |_| LruCache::new(16)),
-        );
+        // One shard is the unsharded protocol.
+        for shards in [1, 4] {
+            let origin: Arc<ShardedOrigin<u64, u64>> = ShardedOrigin::new(shards, 5);
+            let mut a = client(&origin, 16);
+            let mut b = client(&origin, 16);
+            origin.write(1, 100);
+            assert_eq!(a.read(&1), Some(100));
+            assert_eq!(b.read(&1), Some(100));
+            origin.write(1, 200);
+            let latest = Some((200, 2));
+            assert_eq!(a.read_versioned(&1), latest, "never stale after delivery");
+            assert_eq!(b.read_versioned(&1), latest, "never stale after delivery");
+            assert_eq!(origin.version(&1), 2);
+            assert_eq!(a.read(&9999), None);
+        }
+    }
+
+    #[test]
+    fn reading_without_draining_serves_stale_data() {
+        let origin: Arc<ShardedOrigin<u64, u64>> = ShardedOrigin::new(1, 5);
+        let mut a = client(&origin, 16);
         origin.write(1, 100);
-        assert_eq!(client.read(&1), Some(100));
+        assert_eq!(a.read(&1), Some(100));
         origin.write(1, 200);
-        assert_eq!(client.read(&1), Some(200), "never stale after delivery");
-        assert_eq!(client.read(&9999), None);
+        // The local store still holds version 1 until the bus is drained.
+        assert_eq!(a.cache().get(&1), Some((100, 1)));
+        assert_eq!(origin.version(&1), 2);
+        assert_eq!(a.read(&1), Some(200));
+    }
+
+    #[test]
+    fn drain_applies_each_invalidation_once() {
+        let origin: Arc<ShardedOrigin<u64, u64>> = ShardedOrigin::new(1, 5);
+        let mut a = client(&origin, 16);
+        origin.write(1, 1);
+        origin.write(2, 1);
+        let _ = a.read(&1);
+        origin.write(1, 2);
+        origin.write(2, 2);
+        assert_eq!(a.drain_invalidations(), 2);
+        assert_eq!(a.drain_invalidations(), 0);
     }
 
     #[test]
     fn sharded_client_versions_monotonic() {
-        let origin: Arc<ShardedOrigin<u64, u64>> = ShardedOrigin::new(8, 11);
-        let mut client = ShardedClient::subscribe(
-            Arc::clone(&origin),
-            ShardedCache::new(8, 11, |_| LruCache::new(4)),
-        );
-        let mut last = 0;
-        for round in 1..=20u64 {
-            origin.write(7, round);
-            let (v, version) = client.read_versioned(&7).unwrap();
-            assert_eq!(v, round);
-            assert!(version >= last);
-            last = version;
+        for shards in [1, 8] {
+            let origin: Arc<ShardedOrigin<u64, u64>> = ShardedOrigin::new(shards, 11);
+            let mut client = client(&origin, 4);
+            let mut last = 0;
+            for round in 1..=20u64 {
+                assert_eq!(origin.write(7, round), round);
+                let (v, version) = client.read_versioned(&7).unwrap();
+                assert_eq!(v, round);
+                assert!(version >= last);
+                last = version;
+            }
+            assert_eq!(origin.version(&7), 20);
+            assert_eq!(origin.version(&8), 0);
         }
     }
 
     #[test]
     fn dropped_sharded_client_is_pruned_per_shard() {
-        let origin: Arc<ShardedOrigin<u64, u64>> = ShardedOrigin::new(4, 2);
-        {
-            let _gone = ShardedClient::subscribe(
-                Arc::clone(&origin),
-                ShardedCache::new(4, 2, |_| LruCache::new(4)),
-            );
-            assert_eq!(origin.subscriber_counts(), vec![1, 1, 1, 1]);
+        for shards in [1, 4] {
+            let origin: Arc<ShardedOrigin<u64, u64>> = ShardedOrigin::new(shards, 2);
+            let keep = client(&origin, 4);
+            {
+                let _a = client(&origin, 4);
+                let _b = client(&origin, 4);
+                assert_eq!(origin.subscriber_counts(), vec![3; shards]);
+            }
+            // Regression: the slots are reclaimed by the client's drop — no
+            // publish on any shard is needed to notice the dead receivers.
+            assert_eq!(origin.subscriber_counts(), vec![1; shards]);
+            // Publishing afterwards reaches only the live client.
+            for k in 0..16u64 {
+                origin.write(k, 0);
+            }
+            assert_eq!(origin.subscriber_counts(), vec![1; shards]);
+            drop(keep);
+            assert_eq!(origin.subscriber_counts(), vec![0; shards]);
+            // Publishing into an empty bus is a no-op, not an error.
+            origin.write(0, 1);
+            assert_eq!(origin.subscriber_counts(), vec![0; shards]);
+            // A later client reads the latest write.
+            assert_eq!(client(&origin, 4).read(&0), Some(1));
         }
-        // Regression: the slots are reclaimed by the client's drop — no
-        // publish on any shard is needed to notice the dead receivers.
-        assert_eq!(origin.subscriber_counts(), vec![0, 0, 0, 0]);
-        // And publishing afterwards stays a clean no-op on every shard.
-        for k in 0..16u64 {
-            origin.write(k, 0);
-        }
-        assert_eq!(origin.subscriber_counts(), vec![0, 0, 0, 0]);
     }
 
     /// The E2 reproduction constraint: sharding must not change policy

@@ -521,8 +521,10 @@ impl HealthCloudPlatform {
             submitter: "anonymization-verification".into(),
             timestamp: self.clock.now(),
         };
+        // Committed at once when the ledger is reachable; a partition
+        // leaves it queued for the next flush.
         let mut provenance = self.provenance.lock();
-        let _ = provenance.ledger_mut().submit(vec![tx]);
+        let _ = provenance.enqueue(tx).and_then(|()| provenance.flush());
         Some(degree)
     }
 

@@ -55,7 +55,6 @@ impl std::error::Error for KmsError {}
 struct KeyEntry {
     wrapped: Sealed,
     authorized: Vec<Principal>,
-    generation: u32,
 }
 
 /// A single-tenant key management system.
@@ -91,8 +90,6 @@ pub enum KmsAuditEvent {
     Used(KeyId, Principal),
     /// A use was denied.
     Denied(KeyId, Principal),
-    /// A key was rotated to a new generation.
-    Rotated(KeyId, u32),
     /// A key was crypto-shredded.
     Shredded(KeyId),
 }
@@ -119,7 +116,6 @@ impl KeyManagementSystem {
             KeyEntry {
                 wrapped,
                 authorized: authorized.to_vec(),
-                generation: 1,
             },
         );
         self.audit.write().push(KmsAuditEvent::Created(key_id));
@@ -155,34 +151,28 @@ impl KeyManagementSystem {
         Ok(out)
     }
 
-    /// The DEK and its generation.
-    fn unwrap_dek(
-        &self,
-        key_id: KeyId,
-        principal: &Principal,
-    ) -> Result<(SecretKey, u32), KmsError> {
+    fn unwrap_dek(&self, key_id: KeyId, principal: &Principal) -> Result<SecretKey, KmsError> {
         self.use_key(principal, key_id, |entry| {
             let bytes = self
                 .master
                 .open(&entry.wrapped, &key_id.as_u128().to_le_bytes())
                 .map_err(|_| KmsError::IntegrityFailure)?;
             let arr: [u8; 32] = bytes.try_into().map_err(|_| KmsError::IntegrityFailure)?;
-            Ok((SecretKey::from_bytes(arr), entry.generation))
+            Ok(SecretKey::from_bytes(arr))
         })
     }
 
     /// [`open`](Self::open)'s existence and authorization checks and its
-    /// `Used`/`Denied` audit entry, without unwrapping the DEK. Returns the
-    /// key's current generation, so a holder of plaintext opened under
-    /// [`open_with_generation`](Self::open_with_generation) can tell
-    /// whether the key was rotated since.
+    /// `Used`/`Denied` audit entry, without unwrapping the DEK. A key
+    /// keeps one DEK for life, so plaintext opened under it before stays
+    /// what `open` would return while this succeeds.
     ///
     /// # Errors
     ///
     /// Fails as `open` would before touching the ciphertext: the key is
     /// unknown/shredded or the principal unauthorized.
-    pub fn authorize_use(&self, principal: &Principal, key_id: KeyId) -> Result<u32, KmsError> {
-        self.use_key(principal, key_id, |entry| Ok(entry.generation))
+    pub fn authorize_use(&self, principal: &Principal, key_id: KeyId) -> Result<(), KmsError> {
+        self.use_key(principal, key_id, |_| Ok(()))
     }
 
     /// Seals `plaintext` under the DEK `key_id` on behalf of `principal`.
@@ -197,7 +187,7 @@ impl KeyManagementSystem {
         plaintext: &[u8],
         aad: &[u8],
     ) -> Result<Sealed, KmsError> {
-        let (dek, _) = self.unwrap_dek(key_id, principal)?;
+        let dek = self.unwrap_dek(key_id, principal)?;
         Ok(aead::seal(&dek, plaintext, aad))
     }
 
@@ -214,26 +204,8 @@ impl KeyManagementSystem {
         sealed: &Sealed,
         aad: &[u8],
     ) -> Result<Vec<u8>, KmsError> {
-        self.open_with_generation(principal, key_id, sealed, aad)
-            .map(|(plaintext, _)| plaintext)
-    }
-
-    /// [`open`](Self::open), also returning the generation of the DEK that
-    /// opened `sealed`.
-    ///
-    /// # Errors
-    ///
-    /// As [`open`](Self::open).
-    pub fn open_with_generation(
-        &self,
-        principal: &Principal,
-        key_id: KeyId,
-        sealed: &Sealed,
-        aad: &[u8],
-    ) -> Result<(Vec<u8>, u32), KmsError> {
-        let (dek, generation) = self.unwrap_dek(key_id, principal)?;
-        let plaintext = aead::open(&dek, sealed, aad).map_err(|_| KmsError::IntegrityFailure)?;
-        Ok((plaintext, generation))
+        let dek = self.unwrap_dek(key_id, principal)?;
+        aead::open(&dek, sealed, aad).map_err(|_| KmsError::IntegrityFailure)
     }
 
     /// Grants `principal` access to `key_id`.
@@ -248,29 +220,6 @@ impl KeyManagementSystem {
             entry.authorized.push(principal);
         }
         Ok(())
-    }
-
-    /// Rotates `key_id`: future seals use a new DEK generation. Existing
-    /// ciphertexts must be re-encrypted by their owners before the old
-    /// generation is shredded; this method returns the new generation.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the key is unknown.
-    pub fn rotate<R: Rng + ?Sized>(&self, rng: &mut R, key_id: KeyId) -> Result<u32, KmsError> {
-        let mut keys = self.keys.write();
-        let entry = keys.get_mut(&key_id).ok_or(KmsError::UnknownKey(key_id))?;
-        let dek = SecretKey::generate(rng);
-        entry.wrapped = self
-            .master
-            .seal(dek.as_bytes(), &key_id.as_u128().to_le_bytes());
-        entry.generation += 1;
-        let generation = entry.generation;
-        drop(keys);
-        self.audit
-            .write()
-            .push(KmsAuditEvent::Rotated(key_id, generation));
-        Ok(generation)
     }
 
     /// Crypto-shreds `key_id`: every ciphertext sealed under it becomes
@@ -302,7 +251,6 @@ impl KeyManagementSystem {
             .map(|(&id, entry)| KeyInfo {
                 id,
                 authorized: entry.authorized.clone(),
-                generation: entry.generation,
             })
             .collect();
         table.sort_by_key(|k| k.id);
@@ -318,8 +266,6 @@ pub struct KeyInfo {
     pub id: KeyId,
     /// Principals authorized to seal/open under the key.
     pub authorized: Vec<Principal>,
-    /// Current DEK generation (bumped by rotation).
-    pub generation: u32,
 }
 
 impl std::fmt::Debug for KeyManagementSystem {
@@ -399,36 +345,14 @@ mod tests {
     }
 
     #[test]
-    fn rotation_changes_dek() {
-        let mut rng = hc_common::rng::seeded(6);
-        let kms = KeyManagementSystem::new(&mut rng);
-        let k = kms.create_key(&mut rng, &[svc("a")]);
-        let sealed_old = kms.seal(&svc("a"), k, b"v1", b"").unwrap();
-        let generation = kms.rotate(&mut rng, k).unwrap();
-        assert_eq!(generation, 2);
-        // Old ciphertext no longer opens: the DEK was replaced.
-        assert_eq!(
-            kms.open(&svc("a"), k, &sealed_old, b"").unwrap_err(),
-            KmsError::IntegrityFailure
-        );
-        // New seals round-trip.
-        let sealed_new = kms.seal(&svc("a"), k, b"v2", b"").unwrap();
-        assert_eq!(kms.open(&svc("a"), k, &sealed_new, b"").unwrap(), b"v2");
-    }
-
-    #[test]
     fn authorize_use_checks_and_audits_like_open() {
         let mut rng = hc_common::rng::seeded(9);
         let kms = KeyManagementSystem::new(&mut rng);
         let k = kms.create_key(&mut rng, &[svc("a")]);
         let sealed = kms.seal(&svc("a"), k, b"phi", b"").unwrap();
         let before = kms.audit_log().len();
-        assert_eq!(
-            kms.open_with_generation(&svc("a"), k, &sealed, b"")
-                .unwrap(),
-            (b"phi".to_vec(), 1)
-        );
-        assert_eq!(kms.authorize_use(&svc("a"), k), Ok(1));
+        assert_eq!(kms.open(&svc("a"), k, &sealed, b"").unwrap(), b"phi");
+        assert_eq!(kms.authorize_use(&svc("a"), k), Ok(()));
         assert!(matches!(
             kms.authorize_use(&svc("b"), k),
             Err(KmsError::Unauthorized { .. })
@@ -441,8 +365,6 @@ mod tests {
                 KmsAuditEvent::Denied(k, svc("b")),
             ]
         );
-        assert_eq!(kms.rotate(&mut rng, k), Ok(2));
-        assert_eq!(kms.authorize_use(&svc("a"), k), Ok(2));
         kms.shred(k);
         let after_shred = kms.audit_log().len();
         assert_eq!(

@@ -1,12 +1,12 @@
 //! KMS audit-log ordering across a full key lifecycle.
 //!
-//! The posture scanner (`hc-posture`) reconstructs grant-usage and
-//! rotation-age state purely from this log, so its event ordering and
-//! coverage are load-bearing: every lifecycle transition must append
-//! exactly one event, in call order, and denied attempts must be
-//! recorded without leaking a `Used` entry.
+//! The posture scanner (`hc-posture`) reconstructs grant usage purely
+//! from this log, so its event ordering and coverage are load-bearing:
+//! every lifecycle transition must append exactly one event, in call
+//! order, and denied attempts must be recorded without leaking a `Used`
+//! entry.
 
-use hc_common::id::{KeyId, Principal};
+use hc_common::id::Principal;
 use hc_crypto::kms::{KeyManagementSystem, KmsAuditEvent, KmsError};
 
 fn svc(name: &str) -> Principal {
@@ -31,8 +31,6 @@ fn lifecycle_events_append_in_call_order() {
     let opened = kms.open(&export, key, &sealed, b"aad").expect("granted");
     assert_eq!(opened, b"phi-bytes");
 
-    let generation = kms.rotate(&mut rng, key).expect("key exists");
-    assert_eq!(generation, 2);
     kms.shred(key);
 
     assert_eq!(
@@ -42,7 +40,6 @@ fn lifecycle_events_append_in_call_order() {
             KmsAuditEvent::Used(key, ingest),
             KmsAuditEvent::Denied(key, intruder),
             KmsAuditEvent::Used(key, export),
-            KmsAuditEvent::Rotated(key, 2),
             KmsAuditEvent::Shredded(key),
         ],
     );
@@ -99,38 +96,4 @@ fn shred_is_terminal_and_idempotent() {
     assert_eq!(shreds, 1);
     let log = kms.audit_log();
     assert!(matches!(log.last(), Some(KmsAuditEvent::Shredded(_))));
-}
-
-#[test]
-fn rotation_bumps_generation_and_fences_old_ciphertext() {
-    let mut rng = hc_common::rng::seeded(10);
-    let kms = KeyManagementSystem::new(&mut rng);
-    let owner = svc("owner");
-    let key = kms.create_key(&mut rng, std::slice::from_ref(&owner));
-
-    let old = kms.seal(&owner, key, b"generation-1", b"aad").expect("live key");
-    assert_eq!(kms.rotate(&mut rng, key), Ok(2));
-    assert_eq!(kms.rotate(&mut rng, key), Ok(3));
-
-    // Old-generation ciphertext no longer opens (the DEK was replaced);
-    // new seals round-trip under the current generation.
-    assert!(matches!(
-        kms.open(&owner, key, &old, b"aad"),
-        Err(KmsError::IntegrityFailure)
-    ));
-    let fresh = kms.seal(&owner, key, b"generation-3", b"aad").expect("live key");
-    assert_eq!(kms.open(&owner, key, &fresh, b"aad").expect("current gen"), b"generation-3");
-
-    // Rotating an unknown key is an error, not a logged event.
-    let ghost = KeyId::from_raw(0xdead);
-    assert!(matches!(kms.rotate(&mut rng, ghost), Err(KmsError::UnknownKey(k)) if k == ghost));
-    let rotations: Vec<u32> = kms
-        .audit_log()
-        .iter()
-        .filter_map(|e| match e {
-            KmsAuditEvent::Rotated(k, generation) if *k == key => Some(*generation),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(rotations, vec![2, 3]);
 }

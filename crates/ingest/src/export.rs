@@ -68,8 +68,8 @@ const OPENED_SHARDS: usize = 4;
 /// (reference, version, DEK id): a new version or a different record key
 /// is a different entry.
 type OpenedKey = (ReferenceId, u32, KeyId);
-/// The decoded bundle and the generation of the DEK that opened it.
-type Opened = (u32, Arc<Bundle>);
+/// The decoded bundle.
+type Opened = Arc<Bundle>;
 
 /// The export read cache: records the export service has opened, so a
 /// repeat read of the same stored version skips the envelope decode, the
@@ -183,9 +183,9 @@ impl ExportService {
     ///
     /// A version opened before comes from [`OpenedRecords`], after the same
     /// lake read, record-key lookup and KMS authorization (with its audit
-    /// entry) a cold open makes. A rotated DEK no longer opens the stored
-    /// version, so a generation mismatch is unreadable, as the cold open
-    /// would find; a hit that fails authorization drops its entry.
+    /// entry) a cold open makes. A record key keeps one DEK for life, so
+    /// while it authorizes, the cached bundle is what the cold open would
+    /// decode; a hit that fails authorization drops its entry.
     fn open_record(&self, reference: ReferenceId) -> Result<Arc<Bundle>, ExportError> {
         let unreadable = || ExportError::Unreadable(reference);
         let (version, raw) = {
@@ -201,8 +201,8 @@ impl ExportService {
             .ok_or_else(unreadable)?;
         let export = Principal::Service("export".into());
         let opened_key = (reference, version, key);
-        if let Some((generation, bundle)) = self.shared.opened.get(&opened_key) {
-            if self.shared.kms.authorize_use(&export, key) == Ok(generation) {
+        if let Some(bundle) = self.shared.opened.get(&opened_key) {
+            if self.shared.kms.authorize_use(&export, key).is_ok() {
                 return Ok(bundle);
             }
             self.shared.opened.invalidate(&opened_key);
@@ -210,15 +210,13 @@ impl ExportService {
         }
         let sealed: hc_crypto::aead::Sealed =
             serde_json::from_slice(&raw).map_err(|_| unreadable())?;
-        let (bytes, generation) = self
+        let bytes = self
             .shared
             .kms
-            .open_with_generation(&export, key, &sealed, b"at-rest")
+            .open(&export, key, &sealed, b"at-rest")
             .map_err(|_| unreadable())?;
         let bundle = Arc::new(Bundle::from_bytes(&bytes).map_err(|_| unreadable())?);
-        self.shared
-            .opened
-            .put(opened_key, (generation, Arc::clone(&bundle)));
+        self.shared.opened.put(opened_key, Arc::clone(&bundle));
         // A `forget_patient` that shredded the key while this read was
         // opening the record dropped the patient's entries before this
         // one existed.
@@ -606,9 +604,6 @@ mod tests {
         Shred {
             record: usize,
         },
-        Rotate {
-            record: usize,
-        },
     }
 
     fn soak_seed() -> u64 {
@@ -619,8 +614,7 @@ mod tests {
     }
 
     /// A seeded mix of uploads, reads and invalidating writes over a few
-    /// patients, ending with a rotate and a shred between reads of one
-    /// fresh record each.
+    /// patients, ending with a shred between reads of one fresh record.
     fn differential_script(seed: u64) -> Vec<Step> {
         use rand::Rng;
         let mut rng = hc_common::rng::seeded_stream(seed, 1);
@@ -643,25 +637,20 @@ mod tests {
                     86..=87 => Step::Tombstone { record },
                     88..=89 => Step::Purge { record },
                     90..=92 => Step::Forget { patient },
-                    93..=95 => Step::Shred { record },
-                    _ => Step::Rotate { record },
+                    _ => Step::Shred { record },
                 }
             })
             .collect();
-        for (patient, change) in [
-            (100, Step::Rotate { record: 0 }),
-            (101, Step::Shred { record: 0 }),
-        ] {
-            steps.extend([
-                Step::Upload {
-                    patient,
-                    consent: true,
-                },
-                Step::ExportFull { patient },
-                change,
-                Step::ExportFull { patient },
-            ]);
-        }
+        let patient = 101;
+        steps.extend([
+            Step::Upload {
+                patient,
+                consent: true,
+            },
+            Step::ExportFull { patient },
+            Step::Shred { record: 0 },
+            Step::ExportFull { patient },
+        ]);
         steps
     }
 
@@ -670,7 +659,6 @@ mod tests {
     fn run_step(
         pipeline: &IngestionPipeline,
         references: &mut Vec<ReferenceId>,
-        rng: &mut rand::rngs::StdRng,
         index: usize,
         step: Step,
         cold: bool,
@@ -785,10 +773,6 @@ mod tests {
                 }
                 None => "no record key".into(),
             },
-            Step::Rotate { record } => match pick(record).and_then(key_of) {
-                Some(key) => format!("{:?}", shared.kms.rotate(rng, key)),
-                None => "no record key".into(),
-            },
         }
     }
 
@@ -803,7 +787,6 @@ mod tests {
         let pipelines = [build_pipeline(seed), build_pipeline(seed)];
         pipelines[0].enable_telemetry(&registry);
         let mut references = [Vec::new(), Vec::new()];
-        let mut rngs = [hc_common::rng::seeded(seed), hc_common::rng::seeded(seed)];
         let observe = |pipeline: &IngestionPipeline| {
             let provenance = pipeline.shared.provenance.lock();
             let ledger = provenance.ledger();
@@ -817,9 +800,8 @@ mod tests {
         };
         for (index, step) in differential_script(seed).into_iter().enumerate() {
             let [warm_refs, cold_refs] = &mut references;
-            let [warm_rng, cold_rng] = &mut rngs;
-            let warm = run_step(&pipelines[0], warm_refs, warm_rng, index, step, false);
-            let cold = run_step(&pipelines[1], cold_refs, cold_rng, index, step, true);
+            let warm = run_step(&pipelines[0], warm_refs, index, step, false);
+            let cold = run_step(&pipelines[1], cold_refs, index, step, true);
             assert_eq!(warm, cold, "seed {seed} step {index} {step:?}");
             assert_eq!(warm_refs, cold_refs, "seed {seed} step {index} {step:?}");
             assert!(

@@ -824,8 +824,10 @@ impl IngestionPipeline {
                     }
                 }
                 if let Some(tx) = malware_tx {
+                    // Committed at once when the ledger is reachable; a
+                    // partition leaves it queued for the next flush.
                     let mut provenance = self.shared.provenance.lock();
-                    let _ = provenance.ledger_mut().submit(vec![tx]);
+                    let _ = provenance.enqueue(tx).and_then(|()| provenance.flush());
                 }
                 self.reject(&stage, reason)
             }

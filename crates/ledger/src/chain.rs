@@ -648,6 +648,11 @@ impl Ledger {
         Ok(outcome)
     }
 
+    /// Checks a batch against the channel policies without proposing it.
+    pub(crate) fn validate(&self, transactions: &[Transaction]) -> Result<(), LedgerError> {
+        Self::validate_batch(&self.policies, transactions)
+    }
+
     /// The first half of [`Ledger::submit`]: validates a batch against
     /// channel policies and runs consensus on it. Appends nothing; on
     /// success the caller hands the same batch to [`Ledger::append`].

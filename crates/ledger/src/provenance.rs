@@ -108,10 +108,10 @@ struct ProvenanceInstruments {
 
 /// The provenance network: batches events into consensus-committed blocks.
 ///
-/// The pending queue is the one place uncommitted provenance is kept: a
-/// consensus failure leaves its events queued, in order, and the next
-/// [`record`](Self::record) or [`flush`](Self::flush) after the heal
-/// commits them.
+/// The pending queue is the one place uncommitted transactions of every
+/// channel are kept: a consensus failure leaves them queued, in order,
+/// and the next [`record`](Self::record) or [`flush`](Self::flush) after
+/// the heal commits them.
 pub struct ProvenanceNetwork {
     ledger: Ledger,
     pending: VecDeque<Transaction>,
@@ -172,23 +172,41 @@ impl ProvenanceNetwork {
     ///
     /// # Errors
     ///
-    /// Propagates ledger/consensus errors from an automatic flush. A
-    /// consensus failure does not lose the event: it stays pending, and
-    /// a later `record` or `flush` commits it.
+    /// Fails as [`enqueue`](Self::enqueue) does, and propagates
+    /// ledger/consensus errors from an automatic flush. A consensus
+    /// failure does not lose the event: it stays pending, and a later
+    /// `record` or `flush` commits it.
     pub fn record(&mut self, event: &ProvenanceEvent) -> Result<Option<ConsensusOutcome>, LedgerError> {
-        self.next_tx += 1;
+        let id = TxId::from_raw(self.next_tx + 1);
         let tx = event
-            .to_transaction(TxId::from_raw(self.next_tx), self.ledger.cluster().clock())
+            .to_transaction(id, self.ledger.cluster().clock())
             .map_err(|e| LedgerError::Encoding(e.to_string()))?;
-        self.pending.push_back(tx);
+        self.enqueue(tx)?;
+        self.next_tx += 1;
         if let Some(inst) = &self.instruments {
             inst.events.inc();
-            inst.pending.set(self.pending.len() as i64);
         }
         if self.pending.len() >= self.batch_size {
             return self.flush().map(Some);
         }
         Ok(None)
+    }
+
+    /// Queues `tx`, a transaction of any channel, behind every
+    /// uncommitted one; the next flush commits it. A transaction that a
+    /// channel policy refuses is not queued, so it never takes a block of
+    /// other transactions down with it.
+    ///
+    /// # Errors
+    ///
+    /// [`LedgerError::PolicyViolation`] when a policy refuses `tx`.
+    pub fn enqueue(&mut self, tx: Transaction) -> Result<(), LedgerError> {
+        self.ledger.validate(std::slice::from_ref(&tx))?;
+        self.pending.push_back(tx);
+        if let Some(inst) = &self.instruments {
+            inst.pending.set(self.pending.len() as i64);
+        }
+        Ok(())
     }
 
     /// Commits every pending event, oldest first, in blocks of at most
@@ -250,7 +268,7 @@ impl ProvenanceNetwork {
         &mut self.ledger
     }
 
-    /// Number of uncommitted events.
+    /// Number of uncommitted transactions.
     pub fn pending_count(&self) -> usize {
         self.pending.len()
     }
@@ -446,6 +464,35 @@ mod tests {
         net.record(&event(1, ProvenanceAction::Ingested)).unwrap();
         net.flush().unwrap();
         assert_eq!(net.ledger().height(), 1);
+    }
+
+    #[test]
+    fn any_channel_queues_in_order_and_a_refused_event_stays_out() {
+        let mut net = network(4);
+        net.record(&event(1, ProvenanceAction::Ingested)).unwrap();
+        net.enqueue(Transaction {
+            id: TxId::from_raw(900),
+            channel: "malware".into(),
+            kind: "malware-detected".into(),
+            payload: b"scanner=test;record=1".to_vec(),
+            submitter: "malware-filter".into(),
+            timestamp: SimClock::new().now(),
+        })
+        .unwrap();
+        // The provenance policy refuses an event without an actor: it is
+        // neither queued nor given an id.
+        let nameless = ProvenanceEvent {
+            actor: String::new(),
+            ..event(2, ProvenanceAction::Accessed)
+        };
+        assert!(matches!(
+            net.record(&nameless),
+            Err(LedgerError::PolicyViolation { .. })
+        ));
+        assert_eq!(net.pending_count(), 2);
+        net.record(&event(2, ProvenanceAction::Accessed)).unwrap();
+        net.flush().unwrap();
+        assert_eq!(block_ids(&net), [vec![1, 900, 2]]);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use hc_crypto::ots::MerkleSigner;
 use hc_crypto::sha256;
 
 use crate::rules;
-use crate::scan::{DeclaredUse, ScanConfig, DEFAULT_ROTATION_BUDGET};
+use crate::scan::{DeclaredUse, ScanConfig};
 use crate::snapshot::{perm_string, workload_path};
 
 /// The images the demo deploys to every region. The first two serve PHI
@@ -241,10 +241,9 @@ impl DemoDeployment {
     }
 }
 
-/// The scan config for the clean demo deployment: default rotation
-/// budget, every `admin` grant declared against the platform runbook
-/// (admin duties run out-of-band, not through the data-path gateway), no
-/// suppressions.
+/// The scan config for the demo deployment: every `admin` grant declared
+/// against the platform runbook (admin duties run out-of-band, not
+/// through the data-path gateway), no suppressions.
 pub fn demo_config() -> ScanConfig {
     let declared_use = Role::admin()
         .permissions
@@ -258,18 +257,8 @@ pub fn demo_config() -> ScanConfig {
         })
         .collect();
     ScanConfig {
-        rotation_budget: DEFAULT_ROTATION_BUDGET,
         declared_use,
         suppressions: Vec::new(),
-    }
-}
-
-/// [`demo_config`] with the rotation budget tightened so the planted
-/// stale key (70 uses) is over budget.
-pub fn planted_config() -> ScanConfig {
-    ScanConfig {
-        rotation_budget: 64,
-        ..demo_config()
     }
 }
 
@@ -441,24 +430,7 @@ pub fn plant_violations(demo: &mut DemoDeployment) -> Result<Vec<PlantedViolatio
         subject: format!("deployment://export-cache/record/{orphan_ref}"),
     });
 
-    // P8 — encrypt: a batch key ground through 70 seals, past the planted
-    // config's rotation budget of 64.
-    let batch = Principal::Service("batch".to_owned());
-    let key_stale = {
-        let mut rng = p.rng();
-        p.kms.create_key(&mut *rng, std::slice::from_ref(&batch))
-    };
-    for i in 0..70u32 {
-        p.kms
-            .seal(&batch, key_stale, format!("batch-chunk-{i}").as_bytes(), b"aad")
-            .map_err(|e| format!("{e:?}"))?;
-    }
-    planted.push(PlantedViolation {
-        rule: rules::STALE_KEY,
-        subject: format!("deployment://kms/key/{key_stale}"),
-    });
-
-    // P9 — consent: a properly sealed record backfilled for a patient the
+    // P8 — consent: a properly sealed record backfilled for a patient the
     // consent service has never seen.
     let backfill = Principal::Service("backfill".to_owned());
     let key_backfill = {
@@ -486,7 +458,7 @@ pub fn plant_violations(demo: &mut DemoDeployment) -> Result<Vec<PlantedViolatio
         subject: format!("deployment://lake/record/{backfill_ref}"),
     });
 
-    // P10 — consent: a revocation that was never followed by
+    // P9 — consent: a revocation that was never followed by
     // crypto-shredding; the third patient's records stay live.
     let third = demo.patients.get(2).copied().ok_or("demo has patients")?;
     p.consent.lock().revoke(third, p.study);
@@ -524,11 +496,11 @@ mod tests {
         let expected = plant_violations(&mut demo).expect("plants apply");
         assert_eq!(
             expected.len(),
-            12,
+            11,
             "one finding per rule, plus P7's cached entry"
         );
         let snap = PlatformSnapshot::capture(&demo.platform);
-        let outcome = scan(&snap, &planted_config()).expect("config valid");
+        let outcome = scan(&snap, &demo_config()).expect("config valid");
 
         let mut got: Vec<(String, String)> = outcome
             .findings

@@ -15,8 +15,7 @@
 //!   attestation, golden-measurement divergence, unverified quote chains;
 //! * `encrypt` — encryption at rest: identified records without envelope
 //!   metadata, records sealed under shredded keys, export-cache entries
-//!   whose key is shredded or whose record is deleted, rotation-overdue
-//!   keys;
+//!   whose key is shredded or whose record is deleted;
 //! * `consent` — consent/policy gaps: identified records without consent
 //!   provenance, revocations never followed by crypto-shredding.
 //!

@@ -1,7 +1,7 @@
 //! `hc-posture` CLI.
 //!
 //! ```text
-//! hc-posture [--seed N] [--planted] [--config FILE] [--rotation-budget N]
+//! hc-posture [--seed N] [--planted] [--config FILE]
 //!            [--format human|json] [--baseline FILE]
 //!            [--write-baseline] [--prune-baseline] [--fail-stale]
 //!            [--list-rules] [--explain RULE-ID]
@@ -22,7 +22,7 @@ use std::process::ExitCode;
 
 use hc_lint::baseline::Baseline;
 use hc_lint::report::render_explain;
-use hc_posture::demo::{demo_config, plant_violations, planted_config, DemoDeployment};
+use hc_posture::demo::{demo_config, plant_violations, DemoDeployment};
 use hc_posture::report::{json_report, render_human, render_rule_list};
 use hc_posture::scan::{record_metrics, scan, ScanConfig};
 use hc_posture::snapshot::PlatformSnapshot;
@@ -31,7 +31,6 @@ struct Args {
     seed: u64,
     planted: bool,
     config: Option<PathBuf>,
-    rotation_budget: Option<u64>,
     format: Format,
     baseline: Option<PathBuf>,
     write_baseline: bool,
@@ -49,9 +48,8 @@ enum Format {
 
 fn usage() -> &'static str {
     "usage: hc-posture [--seed N] [--planted] [--config FILE]\n\
-     \x20                 [--rotation-budget N] [--format human|json]\n\
-     \x20                 [--baseline FILE] [--write-baseline]\n\
-     \x20                 [--prune-baseline] [--fail-stale]\n\
+     \x20                 [--format human|json] [--baseline FILE]\n\
+     \x20                 [--write-baseline] [--prune-baseline] [--fail-stale]\n\
      \x20                 [--list-rules] [--explain RULE-ID]\n\
      \n\
      Boots the seeded 3-region demo deployment, captures a platform\n\
@@ -61,7 +59,6 @@ fn usage() -> &'static str {
      \n\
      --planted         seed one violation of every rule before scanning\n\
      --config          load declared-use + suppressions from a JSON file\n\
-     --rotation-budget override the stale-key rotation budget\n\
      --prune-baseline  rewrite --baseline FILE dropping entries no\n\
      \x20                 longer matched (ratchet down), then diff\n\
      --fail-stale      exit 1 when the baseline carries unmatched debt\n\
@@ -73,7 +70,6 @@ fn parse_args() -> Result<Args, String> {
         seed: 42,
         planted: false,
         config: None,
-        rotation_budget: None,
         format: Format::Human,
         baseline: None,
         write_baseline: false,
@@ -95,14 +91,6 @@ fn parse_args() -> Result<Args, String> {
             "--planted" => args.planted = true,
             "--config" => {
                 args.config = Some(PathBuf::from(it.next().ok_or("--config needs a value")?));
-            }
-            "--rotation-budget" => {
-                args.rotation_budget = Some(
-                    it.next()
-                        .ok_or("--rotation-budget needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--rotation-budget: {e}"))?,
-                );
             }
             "--format" => {
                 args.format = match it.next().as_deref() {
@@ -176,7 +164,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut config: ScanConfig = match &args.config {
+    let config: ScanConfig = match &args.config {
         Some(path) => match std::fs::read_to_string(path) {
             Ok(json) => match ScanConfig::from_json(&json) {
                 Ok(c) => c,
@@ -190,12 +178,8 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         },
-        None if args.planted => planted_config(),
         None => demo_config(),
     };
-    if let Some(budget) = args.rotation_budget {
-        config.rotation_budget = budget;
-    }
 
     let snapshot = PlatformSnapshot::capture(&demo.platform);
     let outcome = match scan(&snapshot, &config) {

@@ -138,13 +138,13 @@ mod tests {
     fn sample_outcome() -> ScanOutcome {
         ScanOutcome {
             findings: vec![Finding {
-                rule: "posture-stale-key".to_string(),
+                rule: "posture-kms-broad-grant".to_string(),
                 severity: Severity::Warning,
                 file: "deployment://kms/key/0123".to_string(),
                 line: 0,
                 col: 0,
-                message: "key overdue".to_string(),
-                snippet: "rotation-overdue".to_string(),
+                message: "grant never used".to_string(),
+                snippet: "service:debug-tool".to_string(),
             }],
             suppressed: 2,
             entities_scanned: 9,
@@ -169,8 +169,8 @@ mod tests {
         };
         let failing = render_human(&outcome, &failing_diff);
         assert!(failing.contains("hc-posture: FAIL"));
-        assert!(failing.contains("deployment://kms/key/0123: [warning] posture-stale-key"));
-        assert!(failing.contains("key: rotation-overdue"));
+        assert!(failing.contains("deployment://kms/key/0123: [warning] posture-kms-broad-grant"));
+        assert!(failing.contains("key: service:debug-tool"));
     }
 
     #[test]
@@ -182,7 +182,7 @@ mod tests {
         assert!(json.contains("\"tool\":\"hc-posture\""));
         assert!(json.contains("\"entities_scanned\":9"));
         assert!(json.contains("\"suppressed\":2"));
-        assert!(json.contains("\"posture-stale-key\":1"));
+        assert!(json.contains("\"posture-kms-broad-grant\":1"));
     }
 
     #[test]

@@ -23,8 +23,6 @@ pub const QUOTE_UNVERIFIED: &str = "posture-quote-unverified";
 pub const PLAINTEXT_PHI: &str = "posture-plaintext-phi";
 /// Live record references a shredded or unknown KMS key.
 pub const SHREDDED_KEY_REF: &str = "posture-shredded-key-ref";
-/// KMS key past the rotation-age policy.
-pub const STALE_KEY: &str = "posture-stale-key";
 /// Identified record whose patient never consented to the study.
 pub const CONSENT_GAP: &str = "posture-consent-gap";
 /// Revoked consent whose record/key was never crypto-shredded.
@@ -131,17 +129,6 @@ pub const POSTURE_RULES: &[Rule] = &[
                opened (plaintext) although its key is gone or the record is \
                tombstoned or purged; the next read drops the entry, and \
                `forget_patient` drops it at once.",
-    },
-    Rule {
-        id: STALE_KEY,
-        family: "encrypt",
-        severity: Severity::Warning,
-        description: "KMS key used beyond the rotation-age policy without rotation",
-        help: "The key has absorbed more uses since its last creation/rotation than \
-               the configured rotation budget allows. Long-lived DEKs concentrate \
-               risk: one key compromise exposes every record sealed in the window. \
-               Fix: rotate the key (`KeyManagementSystem::rotate`) and re-seal, or \
-               raise the budget deliberately in the scan config.",
     },
     Rule {
         id: CONSENT_GAP,

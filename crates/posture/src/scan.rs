@@ -19,10 +19,6 @@ use hc_telemetry::Registry;
 use crate::rules;
 use crate::snapshot::PlatformSnapshot;
 
-/// Default rotation budget: uses a key may absorb since its last
-/// creation/rotation before `posture-stale-key` fires.
-pub const DEFAULT_ROTATION_BUDGET: u64 = 4096;
-
 /// A declared (runbook-justified) permission use, exempting one
 /// `(role, permission)` pair from `posture-role-unused-grant` when the
 /// gateway has not observed it.
@@ -51,26 +47,13 @@ pub struct Suppression {
     pub justification: String,
 }
 
-/// Scan configuration: policy knobs plus the declared-use manifest and
-/// suppression list.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// Scan configuration: the declared-use manifest and suppression list.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ScanConfig {
-    /// Budget for `posture-stale-key` (uses since creation/rotation).
-    pub rotation_budget: u64,
     /// Runbook-declared permission uses.
     pub declared_use: Vec<DeclaredUse>,
     /// Justified suppressions.
     pub suppressions: Vec<Suppression>,
-}
-
-impl Default for ScanConfig {
-    fn default() -> Self {
-        ScanConfig {
-            rotation_budget: DEFAULT_ROTATION_BUDGET,
-            declared_use: Vec::new(),
-            suppressions: Vec::new(),
-        }
-    }
 }
 
 impl ScanConfig {
@@ -353,20 +336,6 @@ pub fn scan(snapshot: &PlatformSnapshot, config: &ScanConfig) -> Result<ScanOutc
         ));
     }
 
-    for key in &snapshot.keys {
-        if key.uses_since_rotation > config.rotation_budget {
-            findings.push(finding(
-                rules::STALE_KEY,
-                &key.path,
-                "rotation-overdue".to_owned(),
-                format!(
-                    "key absorbed {} uses since its last creation/rotation (budget {})",
-                    key.uses_since_rotation, config.rotation_budget,
-                ),
-            ));
-        }
-    }
-
     // --- consent ------------------------------------------------------
 
     if let Some(study) = snapshot.study {
@@ -513,13 +482,11 @@ mod tests {
             path: "deployment://kms/key/aa".into(),
             authorized: set(&["service:ingest", "service:debug"]),
             used_by: BTreeSet::new(), // never used: no verdict possible yet
-            uses_since_rotation: 0,
         });
         snap.keys.push(KeySnapshot {
             path: "deployment://kms/key/bb".into(),
             authorized: set(&["service:ingest", "service:debug"]),
             used_by: set(&["service:ingest"]),
-            uses_since_rotation: 1,
         });
         let out = scan(&snap, &ScanConfig::default()).unwrap();
         assert_eq!(out.findings.len(), 1);
@@ -634,29 +601,12 @@ mod tests {
     }
 
     #[test]
-    fn stale_key_respects_budget() {
-        let mut snap = PlatformSnapshot::default();
-        snap.keys.push(KeySnapshot {
-            path: "deployment://kms/key/aa".into(),
-            authorized: set(&["service:batch"]),
-            used_by: set(&["service:batch"]),
-            uses_since_rotation: 70,
-        });
-        assert!(scan(&snap, &ScanConfig::default()).unwrap().findings.is_empty());
-        let cfg = ScanConfig { rotation_budget: 64, ..ScanConfig::default() };
-        let out = scan(&snap, &cfg).unwrap();
-        assert_eq!(out.findings.len(), 1);
-        assert_eq!(out.findings[0].rule, rules::STALE_KEY);
-    }
-
-    #[test]
     fn suppression_requires_justification_and_matches_exactly() {
         let mut snap = PlatformSnapshot::default();
         snap.keys.push(KeySnapshot {
             path: "deployment://kms/key/bb".into(),
             authorized: set(&["service:ingest", "service:debug"]),
             used_by: set(&["service:ingest"]),
-            uses_since_rotation: 1,
         });
         let bad = ScanConfig {
             suppressions: vec![Suppression {
@@ -694,7 +644,6 @@ mod tests {
     #[test]
     fn config_round_trips_through_json() {
         let cfg = ScanConfig {
-            rotation_budget: 64,
             declared_use: vec![DeclaredUse {
                 role: "admin".into(),
                 permission: "Key:Admin".into(),
@@ -703,7 +652,6 @@ mod tests {
             suppressions: Vec::new(),
         };
         let back = ScanConfig::from_json(&cfg.to_json()).unwrap();
-        assert_eq!(back.rotation_budget, 64);
         assert_eq!(back.declared_use.len(), 1);
         assert!(ScanConfig::from_json("not json").is_err());
     }
@@ -716,7 +664,6 @@ mod tests {
             path: "deployment://kms/key/bb".into(),
             authorized: set(&["service:ingest", "service:debug"]),
             used_by: set(&["service:ingest"]),
-            uses_since_rotation: 1,
         });
         let out = scan(&snap, &ScanConfig::default()).unwrap();
         record_metrics(&registry, &out);

@@ -89,8 +89,6 @@ pub struct KeySnapshot {
     pub authorized: BTreeSet<String>,
     /// Principals that ever sealed/opened under this key.
     pub used_by: BTreeSet<String>,
-    /// Successful uses since the key was last created or rotated.
-    pub uses_since_rotation: u64,
 }
 
 /// One data-lake record's metadata (payload bytes are never captured).
@@ -302,18 +300,10 @@ impl PlatformSnapshot {
         // KMS: key table plus an audit-log walk for usage profiles.
         {
             let table = platform.kms.key_table();
-            let mut uses_since: BTreeMap<KeyId, u64> = BTreeMap::new();
             let mut used_by: BTreeMap<KeyId, BTreeSet<String>> = BTreeMap::new();
             for event in platform.kms.audit_log() {
-                match event {
-                    KmsAuditEvent::Created(k) | KmsAuditEvent::Rotated(k, _) => {
-                        uses_since.insert(k, 0);
-                    }
-                    KmsAuditEvent::Used(k, principal) => {
-                        *uses_since.entry(k).or_insert(0) += 1;
-                        used_by.entry(k).or_default().insert(principal.to_string());
-                    }
-                    KmsAuditEvent::Denied(_, _) | KmsAuditEvent::Shredded(_) => {}
+                if let KmsAuditEvent::Used(k, principal) = event {
+                    used_by.entry(k).or_default().insert(principal.to_string());
                 }
             }
             for info in table {
@@ -322,7 +312,6 @@ impl PlatformSnapshot {
                     path: format!("deployment://kms/key/{}", info.id),
                     authorized: info.authorized.iter().map(|p| p.to_string()).collect(),
                     used_by: used_by.get(&info.id).cloned().unwrap_or_default(),
-                    uses_since_rotation: uses_since.get(&info.id).copied().unwrap_or(0),
                 });
             }
         }

@@ -23,6 +23,7 @@ use hc_client::services::{Capability, ServiceRegistry, SimulatedService};
 use hc_cloudsim::gateway::IntercloudGateway;
 use hc_cloudsim::net::Location;
 use hc_common::clock::{SimClock, SimDuration};
+use hc_common::conc::zipf_key;
 use hc_common::id::PatientId;
 use hc_core::platform::{demo_bundle, HealthCloudPlatform, PlatformConfig};
 use hc_core::studies;
@@ -42,15 +43,6 @@ use hc_privacy::kanon::{mondrian, QiRecord};
 use hc_privacy::verify::measure;
 use parking_lot::Mutex;
 use rand::Rng;
-
-fn zipf_key<R: Rng>(rng: &mut R, n: usize) -> usize {
-    loop {
-        let k = rng.gen_range(1..=n);
-        if rng.gen_bool(1.0 / k as f64) {
-            return k - 1;
-        }
-    }
-}
 
 fn header(id: &str, title: &str) {
     println!("\n=== {id}: {title} ===");
@@ -135,37 +127,56 @@ fn e2() {
     }
 }
 
+/// Mean wall-clock µs per call of `op` over `reps` calls, after one
+/// untimed call so the timed ones run warm.
+fn mean_us(reps: usize, mut op: impl FnMut()) -> f64 {
+    op();
+    let start = Instant::now();
+    for _ in 0..reps {
+        op();
+    }
+    start.elapsed().as_secs_f64() * 1e6 / reps as f64
+}
+
 /// E3 — shared-key vs hash-based-signature cost (§IV-B1 claim).
+///
+/// Each figure is the fastest of five rounds. A round times every size
+/// in turn, so all rows meet the same slow phases of the host, which
+/// only ever add time.
 fn e3() {
     header("E3", "shared-key AEAD vs hash-based signatures (§IV-B1 claim)");
     let mut rng = hc_common::rng::seeded(3);
     let key = SecretKey::generate(&mut rng);
+    let sizes = [1_024usize, 16_384, 262_144, 1_048_576];
+    // Per size: (aead µs, signature µs, signature wire bytes).
+    let mut best = [(f64::INFINITY, f64::INFINITY, 0usize); 4];
+    for _round in 0..5 {
+        for (&size, best) in sizes.iter().zip(&mut best) {
+            let payload = vec![0xAAu8; size];
+            let reps: usize = if size >= 262_144 { 4 } else { 20 };
+            let aead_us = mean_us(reps, || {
+                let sealed = aead::seal(&key, &payload, b"e3");
+                std::hint::black_box(aead::open(&key, &sealed, b"e3").unwrap());
+            });
+            // A signature costs ~15x an AEAD round trip at 1 KB, so it
+            // needs more calls for its mean to settle.
+            let sig_us = mean_us(reps * 10, || {
+                let mut signer = MerkleSigner::generate(&mut rng, 0);
+                let pk = signer.public_key();
+                let sig = signer.sign(&payload).unwrap();
+                best.2 = sig.wire_len();
+                assert!(ots::verify_merkle(&pk, &payload, &sig));
+            });
+            best.0 = best.0.min(aead_us);
+            best.1 = best.1.min(sig_us);
+        }
+    }
     println!(
         "{:<10} {:>16} {:>16} {:>12}",
         "payload", "aead µs/op", "lamport µs/op", "ratio"
     );
-    for size in [1_024usize, 16_384, 262_144, 1_048_576] {
-        let payload = vec![0xAAu8; size];
-        let reps: usize = if size >= 262_144 { 20 } else { 100 };
-        let start = Instant::now();
-        for _ in 0..reps {
-            let sealed = aead::seal(&key, &payload, b"e3");
-            let _ = aead::open(&key, &sealed, b"e3").unwrap();
-        }
-        let aead_us = start.elapsed().as_micros() as f64 / reps as f64;
-
-        let sig_reps = 5usize;
-        let start = Instant::now();
-        let mut sig_wire = 0usize;
-        for _ in 0..sig_reps {
-            let mut signer = MerkleSigner::generate(&mut rng, 0);
-            let pk = signer.public_key();
-            let sig = signer.sign(&payload).unwrap();
-            sig_wire = sig.wire_len();
-            assert!(ots::verify_merkle(&pk, &payload, &sig));
-        }
-        let sig_us = start.elapsed().as_micros() as f64 / sig_reps as f64;
-        let aead_wire = aead::seal(&key, &payload, b"e3").wire_len() - size;
+    for (size, (aead_us, sig_us, sig_wire)) in sizes.into_iter().zip(best) {
+        let aead_wire = aead::seal(&key, &vec![0xAAu8; size], b"e3").wire_len() - size;
         println!(
             "{:>7} KB {aead_us:>16.1} {sig_us:>16.1} {:>11.1}x   wire +{aead_wire} B vs +{sig_wire} B",
             size / 1024,

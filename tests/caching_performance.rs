@@ -161,14 +161,19 @@ fn write_heavy_workloads_erode_cache_benefit() {
 
 #[test]
 fn invalidation_bus_keeps_many_clients_consistent() {
-    use hc_cache::invalidation::{ConsistentClient, VersionedOrigin};
     use hc_cache::policy::LruCache;
+    use hc_cache::shard::{ShardedCache, ShardedClient, ShardedOrigin};
+    use std::sync::Arc;
 
-    type Client = ConsistentClient<String, u64, LruCache<String, (u64, u64)>>;
-    let origin: std::sync::Arc<VersionedOrigin<String, u64>> = VersionedOrigin::new();
-    let mut clients: Vec<Client> = (0..8)
-        .map(|_| ConsistentClient::subscribe(std::sync::Arc::clone(&origin), LruCache::new(64)))
-        .collect();
+    // One shard: the unsharded write-invalidate protocol.
+    let origin: Arc<ShardedOrigin<String, u64>> = ShardedOrigin::new(1, 77);
+    let client = || {
+        ShardedClient::subscribe(
+            Arc::clone(&origin),
+            ShardedCache::new(1, 77, |_| LruCache::new(64)),
+        )
+    };
+    let mut clients: Vec<_> = (0..8).map(|_| client()).collect();
 
     let mut rng = hc_common::rng::seeded(77);
     // Interleaved writes and reads across all clients: with the protocol,
@@ -178,22 +183,28 @@ fn invalidation_bus_keeps_many_clients_consistent() {
         let key = format!("k{}", round % 16);
         origin.write(key.clone(), round);
         for c in &mut clients {
-            assert_eq!(c.read(&key), Some(round), "round {round}");
+            let latest = Some((round, origin.version(&key)));
+            assert_eq!(c.read_versioned(&key), latest, "round {round}");
         }
         // Random extra traffic.
         let other = format!("k{}", rng.gen_range(0..16));
         for c in &mut clients {
-            let _ = c.read(&other);
+            if let Some((_, version)) = c.read_versioned(&other) {
+                assert_eq!(version, origin.version(&other), "round {round}");
+            }
         }
     }
-    let total_stale: u64 = clients.iter().map(|c| c.stale_reads()).sum();
-    assert_eq!(total_stale, 0, "protocol guarantees no stale reads");
 
     // Ablation: a client that skips draining observes staleness.
-    let mut sloppy: ConsistentClient<String, u64, LruCache<String, (u64, u64)>> =
-        ConsistentClient::subscribe(std::sync::Arc::clone(&origin), LruCache::new(64));
+    let mut sloppy = client();
     let _ = sloppy.read(&"k0".to_string());
     origin.write("k0".into(), 9_999);
-    let _ = sloppy.read_without_draining(&"k0".to_string());
-    assert_eq!(sloppy.stale_reads(), 1);
+    let (_, cached) = sloppy.cache().get(&"k0".to_string()).expect("cached above");
+    assert_ne!(cached, origin.version(&"k0".to_string()), "served stale");
+
+    // Dropped clients free their bus slots.
+    assert_eq!(origin.subscriber_counts(), [9]);
+    drop(clients);
+    drop(sloppy);
+    assert_eq!(origin.subscriber_counts(), [0]);
 }

@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use hc_lint::baseline::Baseline;
-use hc_posture::demo::{demo_config, plant_violations, planted_config, DemoDeployment};
+use hc_posture::demo::{demo_config, plant_violations, DemoDeployment};
 use hc_posture::rules::POSTURE_RULES;
 use hc_posture::scan::{scan, Suppression};
 use hc_posture::snapshot::PlatformSnapshot;
@@ -40,7 +40,7 @@ fn e21_planted_violations_precision_and_recall() {
 
     let capture_start = Instant::now();
     let snapshot = PlatformSnapshot::capture(&demo.platform);
-    let outcome = scan(&snapshot, &planted_config()).expect("config valid");
+    let outcome = scan(&snapshot, &demo_config()).expect("config valid");
     let scan_time = capture_start.elapsed();
 
     // Multiset equality between expected and reported (rule, subject)
@@ -95,32 +95,32 @@ fn e21_baseline_absorbs_and_ratchets() {
     let mut demo = DemoDeployment::build(42).expect("demo builds");
     plant_violations(&mut demo).expect("plants apply");
     let snapshot = PlatformSnapshot::capture(&demo.platform);
-    let outcome = scan(&snapshot, &planted_config()).expect("config valid");
-    assert_eq!(outcome.findings.len(), 12);
+    let outcome = scan(&snapshot, &demo_config()).expect("config valid");
+    assert_eq!(outcome.findings.len(), 11);
 
     // A baseline written from the findings absorbs them all on re-scan.
     let baseline = Baseline::from_findings(&outcome.findings);
     let absorbed = baseline.diff(&outcome.findings);
     assert!(absorbed.new_findings.is_empty());
-    assert_eq!(absorbed.baselined, 12);
+    assert_eq!(absorbed.baselined, 11);
     assert_eq!(absorbed.stale_entries, 0);
 
     // Fixing the deployment (fresh clean build) leaves the old baseline
     // entries stale — the ratchet's --fail-stale signal — and pruning
     // drops them.
     let clean = DemoDeployment::build(42).expect("demo builds");
-    let clean_outcome = scan(&PlatformSnapshot::capture(&clean.platform), &planted_config())
+    let clean_outcome = scan(&PlatformSnapshot::capture(&clean.platform), &demo_config())
         .expect("config valid");
     assert!(clean_outcome.findings.is_empty());
     let stale = baseline.diff(&clean_outcome.findings);
     assert!(stale.new_findings.is_empty());
-    assert_eq!(stale.stale_entries, 12);
+    assert_eq!(stale.stale_entries, 11);
     let pruned = baseline.pruned(&clean_outcome.findings);
     assert!(pruned.entries.is_empty());
 
     // The baseline file format round-trips through JSON.
     let reread = Baseline::from_json(&baseline.to_json()).expect("round trip");
-    assert_eq!(reread.diff(&outcome.findings).baselined, 12);
+    assert_eq!(reread.diff(&outcome.findings).baselined, 11);
 }
 
 #[test]
@@ -132,7 +132,7 @@ fn e21_suppression_with_justification_narrows_the_report() {
         .find(|v| v.rule == "posture-kms-broad-grant")
         .expect("plant includes a broad grant");
 
-    let mut config = planted_config();
+    let mut config = demo_config();
     config.suppressions.push(Suppression {
         rule: broad.rule.to_owned(),
         subject: broad.subject.clone(),
@@ -141,7 +141,29 @@ fn e21_suppression_with_justification_narrows_the_report() {
     });
     let snapshot = PlatformSnapshot::capture(&demo.platform);
     let outcome = scan(&snapshot, &config).expect("config valid");
-    assert_eq!(outcome.findings.len(), 11);
+    assert_eq!(outcome.findings.len(), 10);
     assert_eq!(outcome.suppressed, 1);
     assert!(outcome.findings.iter().all(|f| f.file != broad.subject));
+}
+
+/// LINTS.md's rule tables name exactly the rules the two analysers ship:
+/// each id of `hc_lint::diag::RULES` and `POSTURE_RULES` in one
+/// `` | `rule-id` | `` row, and no other.
+#[test]
+fn lints_md_tables_match_the_rule_catalogues() {
+    let mut documented: Vec<&str> = include_str!("../LINTS.md")
+        .lines()
+        .filter_map(|line| {
+            let (id, rest) = line.strip_prefix("| `")?.split_once('`')?;
+            rest.starts_with(" |").then_some(id)
+        })
+        .collect();
+    documented.sort_unstable();
+    let mut shipped: Vec<&str> = hc_lint::diag::RULES
+        .iter()
+        .chain(POSTURE_RULES)
+        .map(|rule| rule.id)
+        .collect();
+    shipped.sort_unstable();
+    assert_eq!(documented, shipped);
 }

@@ -23,6 +23,9 @@ use hc_common::clock::SimDuration;
 use hc_common::fault::{FaultEvent, FaultInjector, FaultKind, FaultSpec};
 use hc_common::id::PatientId;
 use hc_core::platform::{demo_bundle, HealthCloudPlatform, PlatformConfig};
+use hc_fhir::resource::Resource;
+use hc_fhir::types::HumanName;
+use hc_ingest::scanner::TEST_SIGNATURE;
 use hc_ingest::status::IngestionStatus;
 use hc_ledger::chain::ChainStatus;
 use hc_ledger::consensus::{FAULT_PIPELINE_CRASH, FAULT_PIPELINE_PARTITION};
@@ -228,9 +231,12 @@ fn soak_seed() -> u64 {
 
 /// Exactly-once provenance: a seeded mix of uploads and full exports
 /// runs through the facade while the provenance cluster loses its
-/// quorum in seeded partition windows and crashes one primary. Once the
-/// last window has closed and a final `verify_ledger` has flushed, every
-/// recorded event is on the chain exactly once, in recording order.
+/// quorum in seeded partition windows and crashes one primary. Some
+/// uploads carry the malware scanner's test signature, and one privacy
+/// scoring runs inside a window. Once the last window has closed and a
+/// final `verify_ledger` has flushed, every recorded event is on the
+/// chain exactly once, in recording order, and so is every malware and
+/// privacy transaction.
 #[test]
 fn provenance_commits_every_event_exactly_once_across_partitions() {
     use rand::Rng;
@@ -256,6 +262,7 @@ fn provenance_commits_every_event_exactly_once_across_partitions() {
     let mut rng = hc_common::rng::seeded_stream(seed, 0x50AC);
     let start = platform.clock.now();
     let mut last_close = start;
+    let mut windows = Vec::new();
     for w in 0..WINDOWS {
         let from = start + SimDuration::from_millis(w * 120 + rng.gen_range(0..60));
         let until = from + SimDuration::from_millis(rng.gen_range(10..60));
@@ -264,6 +271,7 @@ fn provenance_commits_every_event_exactly_once_across_partitions() {
             FaultSpec::always(FaultKind::NetworkPartition).window(from, until),
         );
         last_close = last_close.max(until);
+        windows.push(from..until);
     }
     injector.schedule(
         FAULT_PIPELINE_CRASH,
@@ -272,30 +280,62 @@ fn provenance_commits_every_event_exactly_once_across_partitions() {
             .starting(start + SimDuration::from_millis(rng.gen_range(0..WINDOWS * 120))),
     );
 
+    // The first upload inside each window, and every seventh op's upload
+    // outside them, carries the scanner's test signature. The first op
+    // inside a window once two patients are stored also scores privacy.
     let mut patients: Vec<PatientId> = Vec::new();
     let mut records = Vec::new();
+    let mut infected_windows = std::collections::BTreeSet::new();
+    let mut infected = Vec::new();
+    let mut privacy_scored = false;
     for op in 0..OPS {
         platform
             .clock
             .advance(SimDuration::from_millis(rng.gen_range(1..=3)));
+        let window = windows
+            .iter()
+            .position(|w| w.contains(&platform.clock.now()));
         if patients.is_empty() || rng.gen_bool(0.6) {
             let patient = PatientId::from_raw(op as u128 + 1);
             let device = platform.register_patient_device(patient);
-            let url = platform
-                .upload(&device, &demo_bundle(&format!("p{op}"), true))
-                .unwrap();
-            assert_eq!(platform.process_ingestion(), 1);
-            let Some(IngestionStatus::Stored { references }) = platform.ingestion_status(url)
-            else {
-                panic!("seed {seed}: upload {op} did not store");
+            let mut bundle = demo_bundle(&format!("p{op}"), true);
+            let malware = match window {
+                Some(w) => infected_windows.insert(w),
+                None => op % 7 == 0,
             };
-            records.extend(references);
-            patients.push(patient);
+            if malware {
+                let Resource::Patient(p) = &mut bundle.entries[0] else {
+                    panic!("the demo bundle starts with its patient");
+                };
+                p.name = Some(HumanName::new(String::from_utf8_lossy(TEST_SIGNATURE), "X"));
+            }
+            let url = platform.upload(&device, &bundle).unwrap();
+            assert_eq!(platform.process_ingestion(), 1);
+            match platform.ingestion_status(url) {
+                Some(IngestionStatus::Stored { references }) if !malware => {
+                    records.extend(references);
+                    patients.push(patient);
+                }
+                Some(IngestionStatus::Rejected { stage, .. })
+                    if malware && stage == "malware-scan" =>
+                {
+                    infected.push(url.0.as_u128());
+                }
+                other => panic!("seed {seed}: upload {op} ended {other:?}"),
+            }
         } else {
             let patient = patients[rng.gen_range(0..patients.len())];
             platform.export_service().export_full(patient).unwrap();
         }
+        if window.is_some() && !privacy_scored && patients.len() >= 2 {
+            assert!(platform.score_study_privacy(2).is_some(), "seed {seed}");
+            privacy_scored = true;
+        }
     }
+    assert!(
+        !infected_windows.is_empty() && privacy_scored,
+        "seed {seed}: no malware upload or privacy scoring ran inside a partition window"
+    );
 
     // Heal: the last window closes and the crashed primary restarts.
     if platform.clock.now() < last_close {
@@ -335,6 +375,21 @@ fn provenance_commits_every_event_exactly_once_across_partitions() {
         ids,
         (1..=u128::from(events)).collect::<Vec<_>>(),
         "seed {seed}: every recorded event commits exactly once, in order"
+    );
+    let detections: Vec<u128> = provenance
+        .ledger()
+        .channel_transactions("malware")
+        .iter()
+        .map(|tx| tx.id.as_u128())
+        .collect();
+    assert_eq!(
+        detections, infected,
+        "seed {seed}: every malware detection commits exactly once, in order"
+    );
+    assert_eq!(
+        provenance.ledger().channel_transactions("privacy").len(),
+        1,
+        "seed {seed}: the privacy score commits exactly once"
     );
     drop(provenance);
     for record in records {
