@@ -9,8 +9,9 @@
 //! applied" (§III).
 //!
 //! * [`policy`] — eviction policies: [`policy::LruCache`],
-//!   [`policy::LfuCache`], and a TTL wrapper [`policy::TtlCache`], all
-//!   behind the object-safe [`policy::CachePolicy`] trait.
+//!   [`policy::LfuCache`], LRU with frequency-based admission
+//!   ([`policy::TinyLfuCache`]) and a TTL wrapper [`policy::TtlCache`],
+//!   all behind the object-safe [`policy::CachePolicy`] trait.
 //! * [`stats`] — hit/miss/eviction accounting shared by every cache.
 //! * [`multilevel`] — the client → server → origin [`multilevel::CacheHierarchy`]
 //!   with per-level access latencies on the simulated clock, read-through

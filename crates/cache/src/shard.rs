@@ -210,18 +210,20 @@ impl<K: Hash + Eq, V, C: CachePolicy<K, V>> ShardedCache<K, V, C> {
     }
 
     /// Inserts or replaces `key` in its shard, evicting per the shard's
-    /// policy when that shard is full.
-    pub fn put(&self, key: K, value: V) {
+    /// policy when that shard is full. Returns whether `key` is cached
+    /// afterwards (see [`CachePolicy::put`]).
+    pub fn put(&self, key: K, value: V) -> bool {
         let s = self.router.route(&key);
-        let len = {
+        let (cached, len) = {
             let mut shard = self.shards[s].lock(); // hc-lint: allow(panic-index)
-            shard.put(key, value);
-            shard.len()
+            let cached = shard.put(key, value);
+            (cached, shard.len())
         };
         if let Some(inst) = self.instruments.as_ref().map(|v| &v[s]) { // hc-lint: allow(panic-index)
             inst.puts.inc();
             inst.entries.set(len as i64);
         }
+        cached
     }
 
     /// Removes `key` from its shard; returns whether it was present.
@@ -298,6 +300,23 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V, crate::policy::LruCache<
 
     /// The live keys, shard by shard, each shard's least recently used
     /// first. Reading them changes no recency and counts no lookup.
+    pub fn keys(&self) -> Vec<K> {
+        self.shards.iter().flat_map(|s| s.lock().keys()).collect()
+    }
+}
+
+impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V, crate::policy::TinyLfuCache<K, V>> {
+    /// Convenience: an LRU store with frequency-based admission
+    /// ([`TinyLfuCache`](crate::policy::TinyLfuCache)) of `total_capacity`
+    /// entries split over `shards` stripes. Each stripe counts and ages
+    /// its own keys.
+    pub fn tiny_lfu(total_capacity: usize, shards: usize, seed: u64) -> Self {
+        let per_shard = shard_capacity(total_capacity, shards);
+        ShardedCache::new(shards, seed, |_| crate::policy::TinyLfuCache::new(per_shard))
+    }
+
+    /// The live keys, shard by shard, each shard's least recently used
+    /// first. Reading them changes no recency or count.
     pub fn keys(&self) -> Vec<K> {
         self.shards.iter().flat_map(|s| s.lock().keys()).collect()
     }
@@ -758,6 +777,105 @@ mod tests {
                 "LFU {shards} shards: {sharded:.3} vs unsharded {unsharded:.3}"
             );
         }
+    }
+
+    /// The seed of the admission trace tests: `HC_SOAK_SEED` when set.
+    fn trace_seed() -> u64 {
+        std::env::var("HC_SOAK_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0x7A1F)
+    }
+
+    /// Keys of the admission trace tests, and the export cache's shape.
+    const TRACE_KEYS: usize = 1000;
+    const TRACE_CAPACITY: usize = 128;
+    const TRACE_SHARDS: usize = 4;
+
+    /// `reads` Zipf(1) keys over [`TRACE_KEYS`] keys, the `r`-th most
+    /// popular being `ranking[r]`.
+    fn zipf_trace(seed: u64, label: u64, ranking: &[usize], reads: usize) -> Vec<usize> {
+        let mut rng = hc_common::rng::seeded_stream(seed, label);
+        (0..reads)
+            .map(|_| ranking[hc_common::conc::zipf_key(&mut rng, ranking.len())])
+            .collect()
+    }
+
+    /// A seeded ranking of the trace keys.
+    fn ranking(seed: u64, label: u64) -> Vec<usize> {
+        let mut keys: Vec<usize> = (0..TRACE_KEYS).collect();
+        keys.sort_by_key(|&k| hc_common::rng::split(hc_common::rng::split(seed, label), k as u64));
+        keys
+    }
+
+    /// Read-through over `trace`; the hit ratio of the reads from `from` on.
+    fn read_through<C: CachePolicy<usize, usize>>(
+        cache: &ShardedCache<usize, usize, C>,
+        trace: &[usize],
+        from: usize,
+    ) -> f64 {
+        let mut hits = 0usize;
+        for (i, &k) in trace.iter().enumerate() {
+            if cache.get(&k).is_some() {
+                hits += usize::from(i >= from);
+            } else {
+                cache.put(k, k);
+            }
+        }
+        hits as f64 / (trace.len() - from) as f64
+    }
+
+    /// The hit ratios of LRU and TinyLFU over `trace`, from `from` on.
+    fn lru_and_tiny_lfu(seed: u64, trace: &[usize], from: usize) -> (f64, f64) {
+        let (capacity, shards) = (TRACE_CAPACITY, TRACE_SHARDS);
+        (
+            read_through(&ShardedCache::lru(capacity, shards, seed), trace, from),
+            read_through(&ShardedCache::tiny_lfu(capacity, shards, seed), trace, from),
+        )
+    }
+
+    #[test]
+    fn tiny_lfu_beats_lru_by_four_points_on_a_stationary_zipf_trace() {
+        let seed = trace_seed();
+        let trace = zipf_trace(seed, 1, &ranking(seed, 1), 40_000);
+        let (lru, tiny_lfu) = lru_and_tiny_lfu(seed, &trace, 0);
+        assert!(
+            tiny_lfu >= lru + 0.04,
+            "seed {seed}: TinyLFU {tiny_lfu:.3} vs LRU {lru:.3}"
+        );
+    }
+
+    #[test]
+    fn tiny_lfu_follows_a_moved_hot_set_at_least_as_well_as_lru() {
+        let seed = trace_seed();
+        let half = 20_000;
+        let mut trace = zipf_trace(seed, 2, &ranking(seed, 2), half);
+        trace.extend(zipf_trace(seed, 3, &ranking(seed, 3), half));
+        let (lru, tiny_lfu) = lru_and_tiny_lfu(seed, &trace, half);
+        assert!(
+            tiny_lfu >= lru,
+            "seed {seed}: second half TinyLFU {tiny_lfu:.3} vs LRU {lru:.3}"
+        );
+    }
+
+    #[test]
+    fn tiny_lfu_decisions_are_reproducible_from_a_seed() {
+        let seed = trace_seed();
+        let trace = zipf_trace(seed, 4, &ranking(seed, 4), 5_000);
+        let run = || {
+            let cache = ShardedCache::tiny_lfu(TRACE_CAPACITY, TRACE_SHARDS, seed);
+            let decisions: Vec<(bool, bool)> = trace
+                .iter()
+                .map(|&k| {
+                    let hit = cache.get(&k).is_some();
+                    (hit, !hit && cache.put(k, k))
+                })
+                .collect();
+            (decisions, cache.keys(), cache.stats())
+        };
+        let first = run();
+        assert!(first.0.iter().any(|&(hit, admitted)| !hit && !admitted));
+        assert!(first == run(), "seed {seed}: same trace, different decisions");
     }
 
     proptest! {

@@ -9,7 +9,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 
-use hc_cache::policy::LruCache;
+use hc_cache::policy::TinyLfuCache;
 use hc_cache::shard::ShardedCache;
 use hc_common::id::{KeyId, PatientId, Principal, ReferenceId};
 use hc_crypto::sha256;
@@ -46,12 +46,17 @@ impl std::fmt::Display for ExportError {
 impl std::error::Error for ExportError {}
 
 /// A full export: re-identified data plus the pseudonym reversal map.
+///
+/// A patient with one readable record gets that record's cached export
+/// form and reversal map themselves, shared and not copied; several
+/// records are merged into new ones.
 #[derive(Clone, Debug)]
 pub struct FullExport {
-    /// The merged bundle (still pseudonymized ids in resources).
-    pub bundle: Bundle,
+    /// The patient's records' entries in reference order, as one
+    /// collection bundle (still pseudonymized ids in resources).
+    pub bundle: Arc<Bundle>,
     /// pseudonym → original logical id, per the consented records.
-    pub reidentification: HashMap<String, String>,
+    pub reidentification: Arc<HashMap<String, String>>,
     /// The patient's records that could not be opened (shredded key,
     /// tombstoned record), in reference order. They are neither in the
     /// bundle nor anchored as exported.
@@ -68,40 +73,46 @@ const OPENED_SHARDS: usize = 4;
 /// (reference, version, DEK id): a new version or a different record key
 /// is a different entry.
 type OpenedKey = (ReferenceId, u32, KeyId);
-/// The decoded bundle.
+/// The decoded record in its export form: its entries as a
+/// [`BundleKind::Collection`].
 type Opened = Arc<Bundle>;
 
 /// The export read cache: records the export service has opened, so a
 /// repeat read of the same stored version skips the envelope decode, the
-/// DEK unwrap, the AEAD open and the FHIR decode. It holds de-identified
-/// plaintext, so it is PHI at rest: `forget_patient` drops a patient's
-/// entries and the posture scanner lists them
+/// DEK unwrap, the AEAD open and the FHIR decode. It admits by frequency
+/// ([`TinyLfuCache`]): once a stripe is full, a newly opened record
+/// replaces the stripe's least recently used one only if it was read more
+/// often lately, so one-off reads do not push out the hot records. It
+/// holds de-identified plaintext, so it is PHI at rest: `forget_patient`
+/// drops a patient's entries and the posture scanner lists them
 /// ([`IngestionPipeline::export_cache_entries`](crate::pipeline::IngestionPipeline::export_cache_entries)).
 pub(crate) struct OpenedRecords {
-    cache: ShardedCache<OpenedKey, Opened, LruCache<OpenedKey, Opened>>,
+    cache: ShardedCache<OpenedKey, Opened, TinyLfuCache<OpenedKey, Opened>>,
     instruments: OnceLock<OpenedInstruments>,
 }
 
 struct OpenedInstruments {
     hits: hc_telemetry::Counter,
     misses: hc_telemetry::Counter,
+    refused: hc_telemetry::Counter,
     entries: hc_telemetry::Gauge,
 }
 
 impl OpenedRecords {
     pub(crate) fn new(seed: u64) -> Self {
         OpenedRecords {
-            cache: ShardedCache::lru(OPENED_CAPACITY, OPENED_SHARDS, seed),
+            cache: ShardedCache::tiny_lfu(OPENED_CAPACITY, OPENED_SHARDS, seed),
             instruments: OnceLock::new(),
         }
     }
 
-    /// Registers `ingest.export_cache.hits` and `.misses` (counters) and
-    /// `.entries` (gauge). Only the first registry counts.
+    /// Registers `ingest.export_cache.hits`, `.misses` and `.refused`
+    /// (counters) and `.entries` (gauge). Only the first registry counts.
     pub(crate) fn instrument(&self, registry: &hc_telemetry::Registry) {
         let _ = self.instruments.set(OpenedInstruments {
             hits: registry.counter("ingest.export_cache.hits"),
             misses: registry.counter("ingest.export_cache.misses"),
+            refused: registry.counter("ingest.export_cache.refused"),
             entries: registry.gauge("ingest.export_cache.entries"),
         });
     }
@@ -119,7 +130,10 @@ impl OpenedRecords {
     }
 
     fn put(&self, key: OpenedKey, opened: Opened) {
-        self.cache.put(key, opened);
+        let admitted = self.cache.put(key, opened);
+        if let (false, Some(inst)) = (admitted, self.instruments.get()) {
+            inst.refused.inc();
+        }
         self.count_entries();
     }
 
@@ -179,7 +193,9 @@ impl ExportService {
         ExportService { shared }
     }
 
-    /// Opens the latest version of `reference` as the export service.
+    /// Opens the latest version of `reference` as the export service, in
+    /// its export form: the decoded entries moved into a
+    /// [`BundleKind::Collection`].
     ///
     /// A version opened before comes from [`OpenedRecords`], after the same
     /// lake read, record-key lookup and KMS authorization (with its audit
@@ -215,7 +231,8 @@ impl ExportService {
             .kms
             .open(&export, key, &sealed, b"at-rest")
             .map_err(|_| unreadable())?;
-        let bundle = Arc::new(Bundle::from_bytes(&bytes).map_err(|_| unreadable())?);
+        let decoded = Bundle::from_bytes(&bytes).map_err(|_| unreadable())?;
+        let bundle = Arc::new(Bundle::new(BundleKind::Collection, decoded.entries));
         self.shared.opened.put(opened_key, Arc::clone(&bundle));
         // A `forget_patient` that shredded the key while this read was
         // opening the record dropped the patient's entries before this
@@ -319,6 +336,10 @@ impl ExportService {
     /// anchored, so the ledger records an export of exactly the records
     /// returned; the others are listed as unreadable.
     ///
+    /// With one readable record the export is that record's export form
+    /// and reversal map as cached, shared by `Arc`; with several, their
+    /// entries and maps are merged in reference order.
+    ///
     /// # Errors
     ///
     /// Fails without consent, when the patient has no records, or when
@@ -348,19 +369,27 @@ impl ExportService {
         if let ([], [first, ..]) = (opened.as_slice(), unreadable.as_slice()) {
             return Err(ExportError::Unreadable(*first));
         }
-        let mut merged = Bundle::new(BundleKind::Collection, Vec::new());
-        let mut reidentification = HashMap::new();
-        for (reference, bundle) in opened {
-            merged.extend(bundle.iter().cloned());
-            if let Some(map) = self.shared.pseudonyms.lock().get(&reference) {
-                for (original, pseudonym) in map {
-                    reidentification.insert(pseudonym.clone(), original.clone());
+        let pseudonyms = self.shared.pseudonyms.lock();
+        let (bundle, reidentification) = if let [(reference, bundle)] = opened.as_slice() {
+            let map = pseudonyms.get(reference).cloned().unwrap_or_default();
+            (Arc::clone(bundle), map)
+        } else {
+            let mut merged = Bundle::new(BundleKind::Collection, Vec::new());
+            let mut reidentification = HashMap::new();
+            for (reference, bundle) in &opened {
+                merged.extend(bundle.iter().cloned());
+                if let Some(map) = pseudonyms.get(reference) {
+                    reidentification.extend(map.iter().map(|(p, o)| (p.clone(), o.clone())));
                 }
             }
-            self.anchor_export(reference, "full");
+            (Arc::new(merged), Arc::new(reidentification))
+        };
+        drop(pseudonyms);
+        for (reference, _) in &opened {
+            self.anchor_export(*reference, "full");
         }
         Ok(FullExport {
-            bundle: merged,
+            bundle,
             reidentification,
             unreadable,
         })
@@ -573,6 +602,214 @@ mod tests {
         assert!(forgotten.iter().all(|r| !cached.contains(r)));
     }
 
+    /// `export_full` as it was before cached records were shared, kept as
+    /// the oracle of `export_full_equals_the_merge_it_replaced`: each record
+    /// opened cold and its stored entries cloned into a new collection, and
+    /// each record's original → pseudonym map (`forward`) inverted on every
+    /// read. It anchors nothing.
+    fn merged_export(
+        pipeline: &IngestionPipeline,
+        patient: PatientId,
+        forward: &HashMap<ReferenceId, HashMap<String, String>>,
+    ) -> Result<FullExport, ExportError> {
+        let shared = &pipeline.shared;
+        if !shared.consent.lock().allows_export(patient, shared.study) {
+            return Err(ExportError::NotConsented(patient));
+        }
+        let references = shared.lake.lock().references_of(patient);
+        if references.is_empty() {
+            return Err(ExportError::NothingToExport);
+        }
+        let export = Principal::Service("export".into());
+        let open_cold = |reference: ReferenceId| -> Option<Bundle> {
+            let raw = shared.lake.lock().get_latest(reference).ok()?.data.clone();
+            let key = *shared.record_keys.lock().get(&reference)?;
+            let sealed: hc_crypto::aead::Sealed = serde_json::from_slice(&raw).ok()?;
+            let bytes = shared.kms.open(&export, key, &sealed, b"at-rest").ok()?;
+            Bundle::from_bytes(&bytes).ok()
+        };
+        let mut opened = Vec::new();
+        let mut unreadable = Vec::new();
+        for reference in references {
+            match open_cold(reference) {
+                Some(bundle) => opened.push((reference, bundle)),
+                None => unreadable.push(reference),
+            }
+        }
+        if let ([], [first, ..]) = (opened.as_slice(), unreadable.as_slice()) {
+            return Err(ExportError::Unreadable(*first));
+        }
+        let mut merged = Bundle::new(BundleKind::Collection, Vec::new());
+        let mut reidentification = HashMap::new();
+        for (reference, bundle) in &opened {
+            merged.extend(bundle.iter().cloned());
+            if let Some(map) = forward.get(reference) {
+                for (original, pseudonym) in map {
+                    reidentification.insert(pseudonym.clone(), original.clone());
+                }
+            }
+        }
+        Ok(FullExport {
+            bundle: Arc::new(merged),
+            reidentification: Arc::new(reidentification),
+            unreadable,
+        })
+    }
+
+    /// A one-record export shares the cached record, and every export,
+    /// cold or cached, one record or several, some unreadable, equals the
+    /// merge it replaced: the same entries in the same order, a collection,
+    /// the same re-identification map and unreadable list.
+    #[test]
+    fn export_full_equals_the_merge_it_replaced() {
+        use rand::Rng;
+        let seed = soak_seed();
+        let mut rng = hc_common::rng::seeded_stream(seed, 2);
+        let pipeline = build_pipeline(seed);
+        let shared = &pipeline.shared;
+        let salt = shared.study.as_u128().to_le_bytes();
+        let mut forward = HashMap::new();
+        let patients = 1..=10u128;
+        for raw in patients.clone() {
+            // Patients 1 and 2 have one record and 3 has three; the rest
+            // have one to four.
+            let records = match raw {
+                1 | 2 => 1,
+                3 => 3,
+                _ => rng.gen_range(1..=4u32),
+            };
+            let credential = pipeline.register_device(PatientId::from_raw(raw));
+            for n in 0..records {
+                let pid = format!("p{raw}");
+                let mut bundle = bundle_for(&pid, true, true);
+                bundle.entries.push(Resource::Observation(Observation {
+                    id: format!("{pid}-r{n}"),
+                    subject: pid.clone(),
+                    code: CodeableConcept::hba1c(),
+                    value: Quantity::new(rng.gen_range(40..90u32) as f64 / 10.0, "%"),
+                    effective: SimDate(n),
+                }));
+                let sealed = pipeline.seal_upload(&credential, &bundle).unwrap();
+                let url = pipeline.submit(credential, sealed);
+                pipeline.process_all();
+                let Some(IngestionStatus::Stored { references }) = pipeline.status(url) else {
+                    panic!("stored")
+                };
+                let pseudonyms = hc_privacy::phi::deidentify_bundle(
+                    &bundle,
+                    &hc_privacy::phi::DeidConfig::default(),
+                    &salt,
+                )
+                .pseudonyms;
+                forward.insert(references[0], pseudonyms);
+            }
+        }
+        // Patient 2's only record and patient 3's middle one are shredded,
+        // and a few more at random.
+        let mut shredded: Vec<ReferenceId> = [2u128, 3]
+            .iter()
+            .map(|&raw| {
+                let references = shared.lake.lock().references_of(PatientId::from_raw(raw));
+                references[references.len() / 2]
+            })
+            .collect();
+        for raw in 4..=10u128 {
+            for reference in shared.lake.lock().references_of(PatientId::from_raw(raw)) {
+                if rng.gen_range(0..6u32) == 0 {
+                    shredded.push(reference);
+                }
+            }
+        }
+        for reference in &shredded {
+            let key = shared.record_keys.lock()[reference];
+            shared.kms.shred(key);
+        }
+
+        let export = pipeline.export_service();
+        // The (several readable records, some unreadable) shape of each
+        // compared export.
+        let mut shapes = BTreeSet::new();
+        for raw in patients {
+            let patient = PatientId::from_raw(raw);
+            let records = shared.lake.lock().references_of(patient).len();
+            let expected = merged_export(&pipeline, patient, &forward);
+            let reads = [export.export_full(patient), export.export_full(patient)];
+            for read in &reads {
+                let context = format!("seed {seed} p{raw}");
+                let (Ok(full), Ok(merged)) = (read, &expected) else {
+                    assert_eq!(read.as_ref().err(), expected.as_ref().err(), "{context}");
+                    continue;
+                };
+                assert_eq!(full.bundle.kind, BundleKind::Collection, "{context}");
+                assert_eq!(full.bundle.entries, merged.bundle.entries, "{context}");
+                assert_eq!(full.reidentification, merged.reidentification, "{context}");
+                assert_eq!(full.unreadable, merged.unreadable, "{context}");
+                let unreadable = merged.unreadable.len();
+                shapes.insert((records - unreadable > 1, unreadable > 0));
+            }
+            // A one-record patient's second read is the cached record and
+            // map themselves.
+            if let [Ok(first), Ok(second)] = &reads {
+                if records - first.unreadable.len() == 1 {
+                    assert!(Arc::ptr_eq(&first.bundle, &second.bundle), "seed {seed} p{raw}");
+                    assert!(Arc::ptr_eq(&first.reidentification, &second.reidentification));
+                }
+            }
+        }
+        for shape in [(false, false), (true, false), (true, true)] {
+            assert!(shapes.contains(&shape), "seed {seed}: {shapes:?}");
+        }
+    }
+
+    /// The export cache lists exactly what it admitted: a record it refused
+    /// is counted under `ingest.export_cache.refused` and never listed.
+    #[test]
+    fn refused_records_are_counted_and_never_listed() {
+        let pipeline = build_pipeline(37);
+        let registry = hc_telemetry::Registry::new();
+        pipeline.enable_telemetry(&registry);
+        // More one-record patients than the cache holds.
+        let patients: Vec<PatientId> = (1..=160u128).map(PatientId::from_raw).collect();
+        for &patient in &patients {
+            let credential = pipeline.register_device(patient);
+            let sealed = pipeline
+                .seal_upload(&credential, &bundle_for(&format!("p{patient}"), true, true))
+                .unwrap();
+            pipeline.submit(credential, sealed);
+        }
+        pipeline.process_all();
+        let export = pipeline.export_service();
+        let refused = registry.counter("ingest.export_cache.refused");
+        let mut refusals = 0;
+        // The second pass reads every patient again: a record refused on
+        // its first read is now read more often than most victims.
+        for pass in 0..2 {
+            for &patient in &patients {
+                let before = refused.get();
+                let full = export.export_full(patient).unwrap();
+                let [reference] = pipeline.shared.lake.lock().references_of(patient)[..] else {
+                    panic!("one record")
+                };
+                let listed = pipeline
+                    .export_cache_entries()
+                    .iter()
+                    .any(|&(cached, _)| cached == reference);
+                let was_refused = refused.get() > before;
+                refusals += u64::from(was_refused);
+                assert_eq!(listed, !was_refused, "pass {pass}, patient {patient}");
+                assert_eq!(full.bundle.len(), 3);
+            }
+        }
+        assert!(refusals > 0);
+        assert_eq!(refused.get(), refusals);
+        let listed = pipeline.export_cache_entries().len();
+        assert!(listed <= OPENED_CAPACITY);
+        assert_eq!(
+            registry.snapshot().gauge("ingest.export_cache.entries"),
+            Some(listed as i64)
+        );
+    }
+
     /// One step of the differential script. A `record` picks among the
     /// references stored so far, counting back from the newest.
     #[derive(Clone, Copy, Debug)]
@@ -698,7 +935,7 @@ mod tests {
             Step::ExportFull { patient } => {
                 match export.export_full(PatientId::from_raw(patient)) {
                     Ok(full) => {
-                        let mut map: Vec<_> = full.reidentification.into_iter().collect();
+                        let mut map: Vec<_> = full.reidentification.iter().collect();
                         map.sort();
                         format!("{} {map:?} {:?}", full.bundle.to_json(), full.unreadable)
                     }

@@ -120,9 +120,11 @@ pub(crate) struct SharedState {
     pub(crate) provenance: Arc<Mutex<ProvenanceNetwork>>,
     /// Per-record storage keys: shredding one deletes one record.
     pub(crate) record_keys: Mutex<HashMap<ReferenceId, KeyId>>,
-    /// Reference-id → (original id → pseudonym) maps; "the reference-id
-    /// to identity the mapping is stored in the metadata".
-    pub(crate) pseudonyms: Mutex<HashMap<ReferenceId, HashMap<String, String>>>,
+    /// Reference-id → (pseudonym → original id) maps; "the reference-id
+    /// to identity the mapping is stored in the metadata". Kept inverted,
+    /// as the export service reads them, and shared, so a one-record
+    /// export hands out the map itself.
+    pub(crate) pseudonyms: Mutex<HashMap<ReferenceId, Arc<HashMap<String, String>>>>,
     /// The study this pipeline ingests for.
     pub(crate) study: GroupId,
     /// The study's display name (matched against in-bundle consents).
@@ -179,8 +181,9 @@ struct ReadyJob {
     deid_bytes: Vec<u8>,
     /// Hash of `deid_bytes`, anchored with the provenance events.
     data_hash: sha256::Digest,
-    /// Original-id → pseudonym map produced by de-identification.
-    pseudonyms: HashMap<String, String>,
+    /// Pseudonym → original-id map: de-identification's map, inverted by
+    /// moving its strings.
+    reidentification: Arc<HashMap<String, String>>,
     /// Residual PHI found by anonymization verification. Rejection is
     /// reported in commit, *after* the consent check, so the serial
     /// stage priority (consent before anonymization) is preserved.
@@ -797,7 +800,13 @@ impl IngestionPipeline {
             consents,
             deid_bytes,
             data_hash,
-            pseudonyms: deidentified.pseudonyms,
+            reidentification: Arc::new(
+                deidentified
+                    .pseudonyms
+                    .into_iter()
+                    .map(|(original, pseudonym)| (pseudonym, original))
+                    .collect(),
+            ),
             violations,
         }))
     }
@@ -959,7 +968,7 @@ impl IngestionPipeline {
         self.shared
             .pseudonyms
             .lock()
-            .insert(reference, ready.pseudonyms);
+            .insert(reference, ready.reidentification);
         mark(5, &mut stage_start);
 
         // 7. Anchor provenance. A flush that fails under a ledger
