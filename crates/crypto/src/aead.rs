@@ -96,6 +96,9 @@ impl Sealed {
 
 impl Serialize for Sealed {
     fn serialize(&self, out: &mut Writer) {
+        // Two hex digits per wire byte and the quotes: the whole string,
+        // so the closing quote does not reallocate the envelope.
+        out.reserve(2 * self.wire_len() + 2);
         out.str_unescaped(|buf| {
             hc_common::hex::encode_into(&self.nonce.0, buf);
             hc_common::hex::encode_into(self.tag.as_bytes(), buf);
@@ -287,6 +290,18 @@ mod tests {
             format!("\"{}\"", hc_common::hex::encode(&sealed.to_wire()))
         );
         assert_eq!(serde_json::from_str::<Sealed>(&json).unwrap(), sealed);
+    }
+
+    #[test]
+    fn json_form_is_written_into_a_buffer_of_its_exact_length() {
+        // The empty, a short, a routine-upload and a lab-history plaintext.
+        for len in [0usize, 9, 2_298, 69_208] {
+            let plaintext: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let sealed = seal(&key(), &plaintext, b"at-rest");
+            let json = serde_json::to_vec(&sealed).unwrap();
+            assert_eq!(json.len(), 2 * sealed.wire_len() + 2);
+            assert_eq!(json.capacity(), json.len(), "{len}-byte plaintext");
+        }
     }
 
     #[test]

@@ -83,11 +83,15 @@ pub fn deidentify_bundle(bundle: &Bundle, config: &DeidConfig, salt: &[u8]) -> D
     let mut pseudonyms: HashMap<String, String> = HashMap::new();
     let mut entries = Vec::with_capacity(bundle.len());
 
+    // Ids repeat (every resource names its subject), so a key is
+    // allocated only for an id seen the first time.
     let map_id = |id: &str, pseudonyms: &mut HashMap<String, String>| -> String {
-        pseudonyms
-            .entry(id.to_owned())
-            .or_insert_with(|| pseudonym(id, salt))
-            .clone()
+        if let Some(known) = pseudonyms.get(id) {
+            return known.clone();
+        }
+        let fresh = pseudonym(id, salt);
+        pseudonyms.insert(id.to_owned(), fresh.clone());
+        fresh
     };
 
     for resource in bundle {

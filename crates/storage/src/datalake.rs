@@ -12,7 +12,6 @@
 //! secure deletion).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
 
 use hc_common::clock::{SimClock, SimDuration};
 use hc_common::fault::{FaultInjector, FaultKind};
@@ -20,7 +19,7 @@ use hc_common::id::{PatientId, ReferenceId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::wal::{WalError, WalOp, WriteAheadLog};
+use crate::wal::{SharedBytes, WalError, WalOp, WriteAheadLog};
 
 /// Fault point consulted by [`DataLake::try_put`]: an active
 /// [`FaultKind::StorageCrash`] here crashes the store mid-WAL-append,
@@ -37,38 +36,13 @@ pub enum Tier {
     Cold,
 }
 
-/// Stored bytes, shared: a clone takes a reference, not a copy, so a
-/// reader carries a version's bytes out from under the lake lock for the
-/// price of a counter increment.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SharedBytes(Arc<Vec<u8>>);
-
-impl std::ops::Deref for SharedBytes {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-impl From<Vec<u8>> for SharedBytes {
-    fn from(bytes: Vec<u8>) -> Self {
-        SharedBytes(Arc::new(bytes))
-    }
-}
-
-impl<const N: usize> PartialEq<&[u8; N]> for SharedBytes {
-    fn eq(&self, other: &&[u8; N]) -> bool {
-        self.0.as_slice() == other.as_slice()
-    }
-}
-
 /// One stored version of a record.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct StoredVersion {
     /// 1-based version number.
     pub version: u32,
-    /// The (normally sealed/encrypted) payload bytes.
+    /// The (normally sealed/encrypted) payload bytes: a view of the WAL
+    /// frame that logged them.
     pub data: SharedBytes,
     /// Free-form metadata tags.
     pub tags: BTreeMap<String, String>,
@@ -253,17 +227,13 @@ impl DataLake {
     /// Crash recovery: replays the WAL, discards any torn tail, and
     /// re-verifies the lake against the repaired log.
     pub fn recover_from_wal(&mut self) -> WalRecoveryReport {
-        let (records, err) = self.wal.replay();
+        let mut records_replayed = 0;
+        let err = self.wal.visit(|_| records_replayed += 1);
         let mut report = WalRecoveryReport {
-            records_replayed: records.len(),
+            records_replayed,
             ..WalRecoveryReport::default()
         };
-        if let Some(e) = err {
-            let offset = match e {
-                WalError::ChecksumMismatch { offset }
-                | WalError::TruncatedRecord { offset }
-                | WalError::MalformedRecord { offset } => offset,
-            };
+        if let Some(offset) = err.as_ref().map(WalError::offset) {
             report.torn_bytes_discarded = self.wal.byte_len() - offset;
             self.wal.truncate_to(offset);
         }
@@ -296,7 +266,10 @@ impl DataLake {
         data: Vec<u8>,
         tags: &[(&str, &str)],
     ) -> u32 {
-        self.wal.append(reference.as_u128(), WalOp::Put, &data);
+        // The log owns the stored bytes; the version views its frame.
+        let data = self
+            .wal
+            .append_shared(reference.as_u128(), WalOp::Put, &data);
         let entry = self.records.entry(reference).or_insert(RecordEntry {
             versions: Vec::new(),
             tombstoned: false,
@@ -314,7 +287,7 @@ impl DataLake {
         }
         entry.versions.push(StoredVersion {
             version,
-            data: data.into(),
+            data,
             tags: tag_map,
             tier: Tier::Hot,
         });
@@ -534,10 +507,11 @@ impl DataLake {
     }
 
     /// Crash-recovery check: replays the WAL and verifies that every
-    /// live record's versions match the logged `Put` payloads in order
+    /// live record's versions are the logged `Put` payloads in order
     /// and that tombstoned/purged records are absent. Returns the list
-    /// of discrepancies (empty = consistent). The logged payloads are
-    /// compared where they lie in the log, without copies.
+    /// of discrepancies (empty = consistent). A version that views its
+    /// logged payload passes on pointer equality; any other is compared
+    /// byte for byte with the payload where it lies in the log.
     pub fn verify_against_wal(&self) -> Vec<String> {
         // Rebuild expected state from the log: (versions, tombstoned).
         let mut expected: HashMap<u128, (Vec<&[u8]>, bool)> = HashMap::new();
@@ -569,7 +543,8 @@ impl DataLake {
                     } else {
                         for (i, (stored, logged)) in entry.versions.iter().zip(versions).enumerate()
                         {
-                            if *stored.data != **logged {
+                            let viewed = std::ptr::eq(&*stored.data, *logged);
+                            if !viewed && *stored.data != **logged {
                                 problems.push(format!(
                                     "record {reference} version {} diverges from WAL",
                                     i + 1
@@ -764,6 +739,7 @@ mod tests {
 #[cfg(test)]
 mod wal_recovery_tests {
     use super::*;
+    use crate::wal::HEADER_LEN;
 
     #[test]
     fn consistent_lake_verifies_against_wal() {
@@ -834,12 +810,161 @@ mod wal_recovery_tests {
         assert!(lake.verify_against_wal().is_empty());
     }
 
+    /// The seed of the framed-log differential test: `HC_SOAK_SEED` when
+    /// set.
+    fn soak_seed() -> u64 {
+        std::env::var("HC_SOAK_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0x3A1)
+    }
+
+    type State = BTreeMap<u128, (Vec<Vec<u8>>, bool)>;
+
+    /// Every record's versions and tombstone flag, as the lake holds them.
+    fn lake_state(lake: &DataLake) -> State {
+        lake.records
+            .iter()
+            .map(|(reference, entry)| {
+                let versions = entry.versions.iter().map(|v| v.data.to_vec()).collect();
+                (reference.as_u128(), (versions, entry.tombstoned))
+            })
+            .collect()
+    }
+
+    /// The state `records` log, rebuilt as the old byte-comparing check
+    /// rebuilt it.
+    fn logged_state(records: &[crate::wal::WalRecord]) -> State {
+        let mut state = State::new();
+        for r in records {
+            match r.op {
+                WalOp::Put => state.entry(r.key).or_default().0.push(r.payload.clone()),
+                WalOp::Delete => state.entry(r.key).or_default().1 = true,
+                WalOp::Purge => {
+                    state.remove(&r.key);
+                }
+            }
+        }
+        state
+    }
+
+    /// Random put, put-version, tombstone and purge sequences, some with
+    /// a `try_put` crash among them, then optionally a flipped byte, a cut
+    /// tail or a CRC-valid malformed record. The framed log must replay
+    /// what the contiguous parser reads from its bytes (the same records,
+    /// the same error at the same offset), measure as many bytes, and
+    /// recover with the report that reading implies.
+    #[test]
+    fn framed_log_matches_the_contiguous_parser() {
+        use hc_common::fault::FaultSpec;
+        use rand::Rng;
+
+        let seed = soak_seed();
+        // Outcomes seen: clean, checksum, truncated, malformed, and
+        // recoveries that left the lake inconsistent.
+        let mut seen = [0usize; 5];
+        for case in 0..400u64 {
+            let mut rng = hc_common::rng::seeded_stream(seed, case);
+            let clock = SimClock::new();
+            let mut lake = DataLake::new(clock.clone());
+            let injector = FaultInjector::new(clock, case);
+            injector.schedule(
+                STORAGE_CRASH,
+                FaultSpec::always(FaultKind::StorageCrash).limit(1),
+            );
+            lake.set_fault_injector(injector);
+            let steps = rng.gen_range(0..40usize);
+            let crash_at = rng.gen_range(0..steps.max(1) * 3);
+            let mut references = Vec::new();
+            for step in 0..steps {
+                // Mostly short payloads, some under four bytes, so a torn
+                // tail can reach into the header.
+                let len = match rng.gen_range(0..4u32) {
+                    0 => rng.gen_range(0..4usize),
+                    _ => rng.gen_range(0..200usize),
+                };
+                let payload: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+                let existing = (!references.is_empty())
+                    .then(|| references[rng.gen_range(0..references.len())]);
+                match (rng.gen_range(0..100u32), existing) {
+                    _ if step == crash_at => {
+                        assert!(lake.try_put(&mut rng, payload, &[]).is_err());
+                    }
+                    (0..=39, _) | (_, None) => references.push(lake.put(&mut rng, payload, &[])),
+                    (40..=69, Some(r)) => {
+                        let _ = lake.put_version(r, payload, &[]);
+                    }
+                    (70..=84, Some(r)) => {
+                        let _ = lake.tombstone(r);
+                    }
+                    (_, Some(r)) => {
+                        let _ = lake.purge(r);
+                    }
+                }
+            }
+            let byte_len = lake.wal.byte_len();
+            match rng.gen_range(0..5u32) {
+                2 if byte_len > 0 => {
+                    lake.wal
+                        .flip_byte(rng.gen_range(0..byte_len), rng.gen_range(1..=255u8));
+                }
+                3 if byte_len > 0 => lake.wal.truncate_to(rng.gen_range(0..byte_len)),
+                4 => {
+                    let mut body = vec![0u8; rng.gen_range(0..=HEADER_LEN)];
+                    if let Some(op) = body.get_mut(HEADER_LEN - 1) {
+                        *op = rng.gen_range(3..=255u8);
+                    }
+                    let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+                    frame.extend_from_slice(&crate::wal::crc32(&body).to_le_bytes());
+                    frame.extend_from_slice(&body);
+                    lake.wal.push_raw_frame(frame);
+                }
+                _ => {}
+            }
+
+            let bytes = lake.wal.to_bytes();
+            assert_eq!(lake.wal.byte_len(), bytes.len(), "case {case}");
+            let (records, err) = crate::wal::replay_contiguous(&bytes);
+            assert_eq!(
+                lake.wal.replay(),
+                (records.clone(), err.clone()),
+                "case {case}"
+            );
+            let matches = logged_state(&records) == lake_state(&lake);
+            assert_eq!(
+                lake.verify_against_wal().is_empty(),
+                err.is_none() && matches,
+                "case {case}"
+            );
+            seen[match err {
+                None => 0,
+                Some(WalError::ChecksumMismatch { .. }) => 1,
+                Some(WalError::TruncatedRecord { .. }) => 2,
+                Some(WalError::MalformedRecord { .. }) => 3,
+            }] += 1;
+            let cut = err.as_ref().map_or(bytes.len(), WalError::offset);
+            let expected = WalRecoveryReport {
+                records_replayed: records.len(),
+                torn_bytes_discarded: bytes.len() - cut,
+                consistent: matches,
+            };
+            assert_eq!(lake.recover_from_wal(), expected, "case {case}");
+            seen[4] += usize::from(!matches);
+            assert_eq!(lake.wal.to_bytes(), bytes[..cut], "case {case}");
+            assert_eq!(lake.wal.replay(), (records, None), "case {case}");
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "every outcome exercised: {seen:?}"
+        );
+    }
+
     #[test]
     fn wal_corruption_reported() {
         let mut lake = DataLake::new(SimClock::new());
         let mut rng = hc_common::rng::seeded(62);
         let _ = lake.put(&mut rng, b"x".to_vec(), &[]);
-        lake.wal.as_bytes_mut()[10] ^= 0xff;
+        lake.wal.flip_byte(10, 0xff);
         let problems = lake.verify_against_wal();
         assert!(problems[0].contains("wal corruption"));
     }

@@ -6,8 +6,9 @@
 //! metadata." §IV-B1: "Both the original and anonymized versions of data
 //! objects are encrypted and stored."
 //!
-//! * [`wal`] — a write-ahead log with CRC-protected, length-prefixed
-//!   records and corruption-detecting replay; the durability substrate.
+//! * [`wal`] — a write-ahead log of CRC-protected, length-prefixed
+//!   records, one shared frame each, with corruption-detecting replay;
+//!   the durability substrate, and the only owner of stored bytes.
 //! * [`datalake`] — the versioned object store: reference-id addressing,
 //!   the confidential reference-id → patient identity mapping, a tag
 //!   metadata index, hot/cold tiering with simulated access latency, and

@@ -1,17 +1,28 @@
-//! A write-ahead log with CRC-protected records.
+//! A write-ahead log with CRC-protected records, held as frames.
 //!
-//! Every data-lake mutation is first appended here. Records are
-//! length-prefixed and checksummed (CRC-32/ISO-HDLC, implemented below),
-//! so replay detects torn or corrupted tails exactly like an on-disk WAL
-//! would — the log itself lives in memory because the platform is a
-//! simulation, but the format is byte-faithful.
+//! Every data-lake mutation is first appended here. The log is a sequence
+//! of frames, one per record, each in an allocation of exactly its length
+//! behind an `Arc`. A frame is `len u32 ‖ crc u32 ‖ seq u64 ‖ key u128 ‖
+//! op u8 ‖ payload`, integers little-endian. `len` counts the bytes after
+//! `crc`, and `crc` (CRC-32/ISO-HDLC, implemented below) covers exactly
+//! those bytes. Laid end to end, the frames are byte for byte the log an
+//! on-disk WAL would hold, and a byte offset into the log is the sum of
+//! the lengths of the frames before it. Replay detects torn or corrupted
+//! tails exactly like an on-disk WAL would — the log itself lives in
+//! memory because the platform is a simulation.
 //!
-//! A record is `len u32 ‖ crc u32 ‖ seq u64 ‖ key u128 ‖ op u8 ‖ payload`,
-//! integers little-endian. `len` counts the bytes after `crc`, and `crc`
-//! covers exactly those bytes.
+//! The log is also the store: [`WriteAheadLog::append_shared`] hands back
+//! a [`SharedBytes`] view of the payload inside the new frame, and the
+//! data lake keeps that view as the version's bytes, so each stored byte
+//! is held once.
+
+use std::sync::Arc;
 
 /// Bytes of a record body before its payload: `seq`, `key` and `op`.
-const HEADER_LEN: usize = 8 + 16 + 1;
+pub(crate) const HEADER_LEN: usize = 8 + 16 + 1;
+
+/// Bytes of a frame before its payload: `len`, `crc` and the body header.
+const PAYLOAD_OFFSET: usize = 8 + HEADER_LEN;
 
 /// CRC-32/ISO-HDLC (reflected polynomial 0xEDB88320) of each byte value,
 /// built at compile time by the bitwise definition.
@@ -153,6 +164,17 @@ pub enum WalError {
     },
 }
 
+impl WalError {
+    /// Byte offset of the record the error is about.
+    pub fn offset(&self) -> usize {
+        match *self {
+            WalError::ChecksumMismatch { offset }
+            | WalError::TruncatedRecord { offset }
+            | WalError::MalformedRecord { offset } => offset,
+        }
+    }
+}
+
 impl std::fmt::Display for WalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -171,11 +193,74 @@ impl std::fmt::Display for WalError {
 
 impl std::error::Error for WalError {}
 
-/// An append-only, checksummed log.
+/// Stored bytes, shared: a view of a payload inside the WAL frame that
+/// logged it. A clone takes a reference, not a copy, so a reader carries a
+/// version's bytes out from under the lake lock for the price of a counter
+/// increment. Equality compares the payload bytes.
+#[derive(Clone)]
+pub struct SharedBytes {
+    frame: Arc<Vec<u8>>,
+    start: usize,
+}
+
+impl std::ops::Deref for SharedBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        self.frame.get(self.start..).unwrap_or_default()
+    }
+}
+
+impl From<Vec<u8>> for SharedBytes {
+    /// Bytes of their own, outside any log.
+    fn from(bytes: Vec<u8>) -> Self {
+        SharedBytes {
+            frame: Arc::new(bytes),
+            start: 0,
+        }
+    }
+}
+
+impl PartialEq for SharedBytes {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for SharedBytes {}
+
+impl<const N: usize> PartialEq<&[u8; N]> for SharedBytes {
+    fn eq(&self, other: &&[u8; N]) -> bool {
+        &**self == other.as_slice()
+    }
+}
+
+impl std::fmt::Debug for SharedBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("SharedBytes").field(&&**self).finish()
+    }
+}
+
+/// An append-only, checksummed log of frames.
 #[derive(Clone, Debug, Default)]
 pub struct WriteAheadLog {
-    buf: Vec<u8>,
+    frames: Vec<Arc<Vec<u8>>>,
     next_seq: u64,
+}
+
+/// A record's frame, `len ‖ crc ‖ seq ‖ key ‖ op ‖ payload`, in a buffer
+/// of exactly that length.
+fn encode(seq: u64, key: u128, op: WalOp, payload: &[u8]) -> Vec<u8> {
+    let body: [&[u8]; 4] = [&seq.to_le_bytes(), &key.to_le_bytes(), &[op as u8], payload];
+    let crc = !body.iter().fold(!0, |crc, part| crc32_update(crc, part));
+    let body_len = HEADER_LEN + payload.len();
+    let mut frame = Vec::with_capacity(8 + body_len);
+    frame.extend_from_slice(&(body_len as u32).to_le_bytes());
+    frame.extend_from_slice(&crc.to_le_bytes());
+    for part in body {
+        frame.extend_from_slice(part);
+    }
+    frame
 }
 
 impl WriteAheadLog {
@@ -187,22 +272,20 @@ impl WriteAheadLog {
     /// Appends an operation, returning its sequence number.
     pub fn append(&mut self, key: u128, op: WalOp, payload: &[u8]) -> u64 {
         let seq = self.next_seq;
-        self.next_seq += 1;
-        let body: [&[u8]; 4] = [
-            &seq.to_le_bytes(),
-            &key.to_le_bytes(),
-            &[op as u8],
-            payload,
-        ];
-        let crc = !body.iter().fold(!0, |crc, part| crc32_update(crc, part));
-        let body_len = HEADER_LEN + payload.len();
-        self.buf.reserve(8 + body_len);
-        self.buf.extend_from_slice(&(body_len as u32).to_le_bytes());
-        self.buf.extend_from_slice(&crc.to_le_bytes());
-        for part in body {
-            self.buf.extend_from_slice(part);
-        }
+        self.append_shared(key, op, payload);
         seq
+    }
+
+    /// [`append`](Self::append), returning the logged payload: a view of
+    /// the new frame, which the caller keeps instead of a copy of its own.
+    pub fn append_shared(&mut self, key: u128, op: WalOp, payload: &[u8]) -> SharedBytes {
+        let frame = Arc::new(encode(self.next_seq, key, op, payload));
+        self.next_seq += 1;
+        self.frames.push(Arc::clone(&frame));
+        SharedBytes {
+            frame,
+            start: PAYLOAD_OFFSET,
+        }
     }
 
     /// Appends a record but tears its tail (the final 4 body bytes never
@@ -210,23 +293,37 @@ impl WriteAheadLog {
     /// became durable, so its sequence number is not consumed. Returns
     /// the byte offset of the torn record.
     pub fn append_torn(&mut self, key: u128, op: WalOp, payload: &[u8]) -> usize {
-        let offset = self.buf.len();
-        self.append(key, op, payload);
-        self.next_seq -= 1;
-        let keep = self.buf.len().saturating_sub(4).max(offset);
-        self.buf.truncate(keep);
+        let offset = self.byte_len();
+        let mut frame = encode(self.next_seq, key, op, payload);
+        frame.truncate(frame.len().saturating_sub(4));
+        self.frames.push(Arc::new(frame));
         offset
     }
 
     /// Truncates the log to `offset` bytes — crash recovery discarding a
-    /// torn tail.
+    /// torn tail. Frames past `offset` are dropped, and a frame that
+    /// straddles it keeps its first bytes.
     pub fn truncate_to(&mut self, offset: usize) {
-        self.buf.truncate(offset);
+        let mut end = 0;
+        let Some(straddling) = self.frames.iter().position(|frame| {
+            end += frame.len();
+            end > offset
+        }) else {
+            return;
+        };
+        let kept = self.frames.get(straddling).map(|frame| {
+            let head = frame.len() - (end - offset);
+            frame.get(..head).unwrap_or_default().to_vec()
+        });
+        self.frames.truncate(straddling);
+        if let Some(head) = kept.filter(|head| !head.is_empty()) {
+            self.frames.push(Arc::new(head));
+        }
     }
 
-    /// Total log size in bytes.
+    /// Total log size in bytes: the sum of the frame lengths.
     pub fn byte_len(&self) -> usize {
-        self.buf.len()
+        self.frames.iter().map(|frame| frame.len()).sum()
     }
 
     /// Number of records appended so far.
@@ -234,14 +331,12 @@ impl WriteAheadLog {
         self.next_seq
     }
 
-    /// Raw log bytes (for tamper-injection tests).
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Mutable raw bytes (test-only fault injection).
-    pub fn as_bytes_mut(&mut self) -> &mut Vec<u8> {
-        &mut self.buf
+    /// The log's bytes end to end, copied: what an on-disk log would hold.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.frames
+            .iter()
+            .flat_map(|frame| frame.iter().copied())
+            .collect()
     }
 
     /// Replays the log from the beginning, verifying checksums.
@@ -264,22 +359,34 @@ impl WriteAheadLog {
     }
 
     /// [`replay`](Self::replay) without copying: hands each verified
-    /// record to `visit`, its payload borrowed from the log, in order.
+    /// record to `visit`, its payload borrowed from its frame, in order.
     /// Returns the first corruption, which ends the walk.
+    ///
+    /// Each frame is checked on its own and reports what a reader of the
+    /// contiguous log would at that offset. A frame whose length field
+    /// disagrees with its size (a torn frame, or a damaged length) would
+    /// be read on past its end: into the next frame, where its CRC
+    /// misses, or past the end of the log, which is a truncated record.
+    /// A frame too short to hold `len` and `crc`, which only cutting the
+    /// log's tail leaves, is a truncated record.
     pub fn visit<'a>(&'a self, mut visit: impl FnMut(WalRecord<&'a [u8]>)) -> Option<WalError> {
         let mut offset = 0usize;
-        let mut rest = self.buf.as_slice();
-        while !rest.is_empty() {
-            let Some((len, after_len)) = rest.split_first_chunk::<4>() else {
+        for frame in &self.frames {
+            let Some((len, after_len)) = frame.split_first_chunk::<4>() else {
                 return Some(WalError::TruncatedRecord { offset });
             };
-            let Some((stored_crc, after_crc)) = after_len.split_first_chunk::<4>() else {
+            let Some((stored_crc, body)) = after_len.split_first_chunk::<4>() else {
                 return Some(WalError::TruncatedRecord { offset });
             };
             let len = u32::from_le_bytes(*len) as usize;
-            let Some((body, next)) = after_crc.split_at_checked(len) else {
-                return Some(WalError::TruncatedRecord { offset });
-            };
+            if body.len() != len {
+                let after_header = self.byte_len() - offset - 8;
+                return Some(if len > after_header {
+                    WalError::TruncatedRecord { offset }
+                } else {
+                    WalError::ChecksumMismatch { offset }
+                });
+            }
             if crc32(body) != u32::from_le_bytes(*stored_crc) {
                 return Some(WalError::ChecksumMismatch { offset });
             }
@@ -287,11 +394,73 @@ impl WriteAheadLog {
                 return Some(WalError::MalformedRecord { offset });
             };
             visit(record);
-            offset += 8 + len;
-            rest = next;
+            offset += frame.len();
         }
         None
     }
+}
+
+/// Fault injection on the log's raw bytes, for tests.
+#[cfg(test)]
+impl WriteAheadLog {
+    /// XORs the byte at log offset `offset` with `mask`. A frame the lake
+    /// also holds is copied first, so the damage stays in the log.
+    pub(crate) fn flip_byte(&mut self, offset: usize, mask: u8) {
+        let mut start = 0;
+        for frame in &mut self.frames {
+            if let Some(byte) = offset
+                .checked_sub(start)
+                .filter(|&at| at < frame.len())
+                .and_then(|at| Arc::make_mut(frame).get_mut(at))
+            {
+                *byte ^= mask;
+                return;
+            }
+            start += frame.len();
+        }
+        panic!("offset {offset} is past the log's {start} bytes");
+    }
+
+    /// Appends `bytes` as a frame as they are, well formed or not.
+    pub(crate) fn push_raw_frame(&mut self, bytes: Vec<u8>) {
+        self.frames.push(Arc::new(bytes));
+    }
+}
+
+/// The contiguous parser the framed log replaced, kept as the test
+/// oracle: it reads records end to end from one byte buffer.
+#[cfg(test)]
+pub(crate) fn replay_contiguous(log: &[u8]) -> (Vec<WalRecord>, Option<WalError>) {
+    let mut records = Vec::new();
+    let mut offset = 0usize;
+    let mut rest = log;
+    while !rest.is_empty() {
+        let Some((len, after_len)) = rest.split_first_chunk::<4>() else {
+            return (records, Some(WalError::TruncatedRecord { offset }));
+        };
+        let Some((stored_crc, after_crc)) = after_len.split_first_chunk::<4>() else {
+            return (records, Some(WalError::TruncatedRecord { offset }));
+        };
+        let len = u32::from_le_bytes(*len) as usize;
+        let Some((body, next)) = after_crc.split_at_checked(len) else {
+            return (records, Some(WalError::TruncatedRecord { offset }));
+        };
+        if crc32(body) != u32::from_le_bytes(*stored_crc) {
+            return (records, Some(WalError::ChecksumMismatch { offset }));
+        }
+        let Some(record) = WalRecord::decode(body) else {
+            return (records, Some(WalError::MalformedRecord { offset }));
+        };
+        records.push(WalRecord {
+            seq: record.seq,
+            key: record.key,
+            op: record.op,
+            payload: record.payload.to_vec(),
+        });
+        offset += 8 + len;
+        rest = next;
+    }
+    (records, None)
 }
 
 #[cfg(test)]
@@ -314,10 +483,11 @@ mod tests {
 
     /// Appends a raw record with a valid CRC around an arbitrary body.
     fn push_raw(wal: &mut WriteAheadLog, body: &[u8]) {
-        let buf = wal.as_bytes_mut();
+        let mut buf = Vec::new();
         buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
         buf.extend_from_slice(&crc32(body).to_le_bytes());
         buf.extend_from_slice(body);
+        wal.push_raw_frame(buf);
     }
 
     #[test]
@@ -331,7 +501,7 @@ mod tests {
     fn record_layout_is_header_then_raw_payload() {
         let mut wal = WriteAheadLog::new();
         wal.append(0x0102, WalOp::Delete, b"xyz");
-        let bytes = wal.as_bytes();
+        let bytes = wal.to_bytes();
         assert_eq!(bytes.len(), 8 + HEADER_LEN + 3);
         assert_eq!(bytes[..4], ((HEADER_LEN + 3) as u32).to_le_bytes());
         assert_eq!(bytes[4..8], crc32(&bytes[8..]).to_le_bytes());
@@ -384,8 +554,8 @@ mod tests {
         wal.append(1, WalOp::Put, b"payload-a");
         wal.append(2, WalOp::Put, b"payload-b");
         // Flip a byte in the middle of the second record's body.
-        let len = wal.as_bytes().len();
-        wal.as_bytes_mut()[len - 3] ^= 0xff;
+        let len = wal.to_bytes().len();
+        wal.flip_byte(len - 3, 0xff);
         let (records, err) = wal.replay();
         assert_eq!(records.len(), 1, "first record recovered");
         assert!(matches!(err, Some(WalError::ChecksumMismatch { .. })));
@@ -396,10 +566,60 @@ mod tests {
         let mut wal = WriteAheadLog::new();
         wal.append(1, WalOp::Put, b"payload");
         let new_len = wal.byte_len() - 4;
-        wal.as_bytes_mut().truncate(new_len);
+        wal.truncate_to(new_len);
         let (records, err) = wal.replay();
         assert!(records.is_empty());
         assert!(matches!(err, Some(WalError::TruncatedRecord { .. })));
+    }
+
+    #[test]
+    fn each_record_is_one_exactly_sized_frame_its_view_shares() {
+        let mut wal = WriteAheadLog::new();
+        let view = wal.append_shared(7, WalOp::Put, b"payload");
+        wal.append(7, WalOp::Delete, b"");
+        assert_eq!(view, b"payload");
+        assert_eq!(wal.frames.len(), 2);
+        for frame in &wal.frames {
+            assert_eq!(frame.capacity(), frame.len());
+        }
+        let mut lent = Vec::new();
+        assert_eq!(wal.visit(|r| lent.push(r.payload)), None);
+        assert!(
+            std::ptr::eq(lent[0], &*view),
+            "the view is the logged payload"
+        );
+        assert_eq!(wal.byte_len(), 2 * PAYLOAD_OFFSET + 7);
+        assert_eq!(wal.to_bytes().len(), wal.byte_len());
+    }
+
+    #[test]
+    fn truncation_inside_a_frame_keeps_its_head() {
+        let mut wal = WriteAheadLog::new();
+        wal.append(1, WalOp::Put, b"first");
+        let first = wal.byte_len();
+        wal.append(2, WalOp::Put, b"second");
+        wal.append(3, WalOp::Put, b"third");
+        let bytes = wal.to_bytes();
+        wal.truncate_to(first + 5);
+        assert_eq!(wal.to_bytes(), bytes[..first + 5]);
+        assert_eq!(wal.frames.len(), 2);
+        wal.truncate_to(first);
+        assert_eq!(wal.to_bytes(), bytes[..first]);
+        assert_eq!(wal.frames.len(), 1);
+        wal.truncate_to(first + 100);
+        assert_eq!(wal.byte_len(), first);
+    }
+
+    #[test]
+    fn a_torn_frame_before_more_records_misses_its_crc() {
+        let mut wal = WriteAheadLog::new();
+        wal.append(1, WalOp::Put, b"kept");
+        let torn = wal.append_torn(2, WalOp::Put, b"torn");
+        wal.append(3, WalOp::Put, b"after");
+        let (records, err) = wal.replay();
+        assert_eq!(records.len(), 1);
+        assert_eq!(err, Some(WalError::ChecksumMismatch { offset: torn }));
+        assert_eq!((records, err), replay_contiguous(&wal.to_bytes()));
     }
 
     #[test]

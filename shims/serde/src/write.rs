@@ -23,6 +23,13 @@ impl Writer {
         self.buf
     }
 
+    /// Makes room for at least `additional` more bytes, as
+    /// [`Vec::reserve`] does: a value that knows its encoded length
+    /// writes into an empty writer without reallocating.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Writes `null`.
     pub fn null(&mut self) {
         self.buf.extend_from_slice(b"null");

@@ -121,7 +121,8 @@ fn wal_crc32_check_value_and_a_record_recomputed_bitwise() {
     let payload: Vec<u8> = (0..1001u32).map(|i| (i * 31 % 251) as u8).collect();
     wal.append(0x0123_4567_89ab_cdef, WalOp::Put, &payload);
     // A record is `len u32 ‖ crc u32 ‖ body`, and the crc covers the body.
-    let (header, body) = wal.as_bytes().split_at(8);
+    let bytes = wal.to_bytes();
+    let (header, body) = bytes.split_at(8);
     let stored = u32::from_le_bytes(header[4..].try_into().unwrap());
     assert_eq!(stored, crc32_bitwise(body));
 }
