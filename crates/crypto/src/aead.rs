@@ -9,6 +9,7 @@
 use rand::Rng;
 use serde::{DeError, Deserialize, Reader, Serialize, Writer};
 
+use crate::base64;
 use crate::chacha20::{self, Nonce};
 use crate::hmac::{self, HmacKey};
 use crate::sha256::Digest;
@@ -51,7 +52,10 @@ impl std::fmt::Debug for SecretKey {
 
 /// An encrypted, integrity-protected payload.
 ///
-/// Serializes as one string: the lowercase hex of [`Sealed::to_wire`].
+/// Serializes as one JSON string: the RFC 4648 base64 (standard
+/// alphabet, padded) of [`Sealed::to_wire`], four characters per three
+/// wire bytes. Reading accepts only that canonical text and at least the
+/// 44 bytes of nonce and tag, and decodes it straight into the fields.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Sealed {
     /// Cipher nonce (public).
@@ -94,15 +98,32 @@ impl Sealed {
     }
 }
 
+/// Nonce, tag and the ciphertext's first byte: fifteen whole base64
+/// groups. The fifteenth straddles the tag and the ciphertext, so the
+/// envelope is coded as these bytes, kept on the stack, and then the
+/// rest of the ciphertext, which starts a group.
+const HEAD_LEN: usize = 45;
+
 impl Serialize for Sealed {
     fn serialize(&self, out: &mut Writer) {
-        // Two hex digits per wire byte and the quotes: the whole string,
-        // so the closing quote does not reallocate the envelope.
-        out.reserve(2 * self.wire_len() + 2);
+        // The whole string and its quotes, so the closing quote does not
+        // reallocate the envelope.
+        out.reserve(base64::encoded_len(self.wire_len()) + 2);
+        let mut head = [0u8; HEAD_LEN];
+        let (nonce, rest) = head.split_at_mut(12);
+        let (tag, first) = rest.split_at_mut(32);
+        nonce.copy_from_slice(&self.nonce.0);
+        tag.copy_from_slice(self.tag.as_bytes());
+        let (head_len, ciphertext): (usize, &[u8]) = match self.ciphertext.split_first() {
+            Some((&byte, ciphertext)) => {
+                first.fill(byte);
+                (HEAD_LEN, ciphertext)
+            }
+            None => (HEAD_LEN - 1, &[]),
+        };
         out.str_unescaped(|buf| {
-            hc_common::hex::encode_into(&self.nonce.0, buf);
-            hc_common::hex::encode_into(self.tag.as_bytes(), buf);
-            hc_common::hex::encode_into(&self.ciphertext, buf);
+            base64::encode_into(head.split_at(head_len).0, buf);
+            base64::encode_into(ciphertext, buf);
         });
     }
 }
@@ -110,9 +131,34 @@ impl Serialize for Sealed {
 impl Deserialize for Sealed {
     fn deserialize(input: &mut Reader<'_>) -> Result<Self, DeError> {
         let text = input.str()?;
-        let wire = hc_common::hex::decode(&text).map_err(DeError::msg)?;
-        Sealed::from_wire(&wire)
-            .ok_or_else(|| DeError::msg("sealed envelope shorter than nonce and tag"))
+        let text = text.as_bytes();
+        let wire_len = base64::decoded_len(text).map_err(DeError::msg)?;
+        let Some(ciphertext_len) = wire_len.checked_sub(HEAD_LEN - 1) else {
+            return Err(DeError::msg("sealed envelope shorter than nonce and tag"));
+        };
+        let mut head = [0u8; HEAD_LEN];
+        let mut ciphertext = vec![0u8; ciphertext_len];
+        let (head_len, rest): (usize, &mut [u8]) = match ciphertext.split_first_mut() {
+            Some((_, rest)) => (HEAD_LEN, rest),
+            None => (HEAD_LEN - 1, &mut []),
+        };
+        // At least 44 wire bytes take at least 60 characters.
+        let (head_text, rest_text) = text.split_at(base64::encoded_len(head_len));
+        base64::decode_into(head_text, head.split_at_mut(head_len).0).map_err(DeError::msg)?;
+        base64::decode_into(rest_text, rest).map_err(DeError::msg)?;
+        let [.., byte] = head;
+        if let Some(first) = ciphertext.first_mut() {
+            *first = byte;
+        }
+        let mut sealed = Sealed {
+            nonce: Nonce::default(),
+            ciphertext,
+            tag: Digest([0; 32]),
+        };
+        let (nonce, rest) = head.split_at(12);
+        sealed.nonce.0.copy_from_slice(nonce);
+        sealed.tag.0.copy_from_slice(rest.split_at(32).0);
+        Ok(sealed)
     }
 }
 
@@ -281,45 +327,73 @@ mod tests {
         assert!(empty.ciphertext.is_empty());
     }
 
+    /// The JSON form of `wire`: its base64, quoted.
+    fn quoted_base64(wire: &[u8]) -> String {
+        let mut text = Vec::new();
+        base64::encode_into(wire, &mut text);
+        format!("\"{}\"", String::from_utf8(text).unwrap())
+    }
+
     #[test]
-    fn json_form_is_one_hex_string() {
+    fn json_form_is_one_base64_string() {
         let sealed = seal(&key(), b"hba1c=6.5", b"at-rest");
         let json = serde_json::to_string(&sealed).unwrap();
-        assert_eq!(
-            json,
-            format!("\"{}\"", hc_common::hex::encode(&sealed.to_wire()))
-        );
+        assert_eq!(json, quoted_base64(&sealed.to_wire()));
+        assert_eq!(json.len(), 4 * sealed.wire_len().div_ceil(3) + 2);
+        assert!(json[1..json.len() - 1]
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b"+/=".contains(&b)));
         assert_eq!(serde_json::from_str::<Sealed>(&json).unwrap(), sealed);
     }
 
     #[test]
     fn json_form_is_written_into_a_buffer_of_its_exact_length() {
-        // The empty, a short, a routine-upload and a lab-history plaintext.
-        for len in [0usize, 9, 2_298, 69_208] {
+        // The empty, a short, a routine-upload and a lab-history
+        // plaintext, and one of each length mod 3 around the fifteenth
+        // group, where the tag meets the ciphertext.
+        for len in [0usize, 1, 2, 3, 4, 9, 2_298, 69_208] {
             let plaintext: Vec<u8> = (0..len).map(|i| i as u8).collect();
             let sealed = seal(&key(), &plaintext, b"at-rest");
             let json = serde_json::to_vec(&sealed).unwrap();
-            assert_eq!(json.len(), 2 * sealed.wire_len() + 2);
+            assert_eq!(json.len(), 4 * sealed.wire_len().div_ceil(3) + 2);
             assert_eq!(json.capacity(), json.len(), "{len}-byte plaintext");
         }
     }
 
     #[test]
     fn json_form_rejects_malformed_envelopes() {
-        let hex = hc_common::hex::encode(&[7u8; 44]);
-        assert!(serde_json::from_str::<Sealed>(&format!("\"{hex}\"")).is_ok());
-        assert!(
-            serde_json::from_str::<Sealed>("[1,2,3]").is_err(),
-            "non-string"
+        let text = quoted_base64(&[7u8; 44]);
+        let body = &text[1..text.len() - 1];
+        assert!(serde_json::from_str::<Sealed>(&text).is_ok());
+        let rejected = |json: &str, why: &str| {
+            assert!(
+                serde_json::from_str::<Sealed>(json).is_err(),
+                "{why}: {json}"
+            );
+        };
+        rejected("[1,2,3]", "non-string");
+        rejected(&format!("\"{body}A\""), "length not a multiple of 4");
+        rejected(&format!("\"{}\"", &body[1..]), "length not a multiple of 4");
+        rejected(
+            &format!("\"{}!{}\"", &body[..8], &body[9..]),
+            "outside the alphabet",
         );
-        assert!(
-            serde_json::from_str::<Sealed>(&format!("\"{hex}0\"")).is_err(),
-            "odd length"
+        rejected(
+            &format!("\"{}-{}\"", &body[..8], &body[9..]),
+            "URL-safe alphabet",
         );
-        let non_hex = format!("\"{}zz\"", &hex[2..]);
-        assert!(serde_json::from_str::<Sealed>(&non_hex).is_err(), "non-hex");
-        let short = format!("\"{}\"", &hex[2..]);
-        assert!(serde_json::from_str::<Sealed>(&short).is_err(), "43 bytes");
+        rejected(
+            &format!("\"{}={}\"", &body[..8], &body[9..]),
+            "= before the end",
+        );
+        let padded = quoted_base64(&[7u8; 46]);
+        assert!(padded.ends_with("Bw==\""));
+        rejected(&padded.replace("Bw==", "B==="), "three =");
+        rejected(&padded.replace("Bw==", "Bx=="), "non-zero unused bits");
+        // `[7; 44]` ends in one `=`; 43 bytes end in two.
+        assert!(body.ends_with("Bwc="));
+        rejected(&quoted_base64(&[7u8; 43]), "43 bytes");
+        rejected("\"\"", "no bytes");
     }
 
     #[test]
@@ -349,17 +423,23 @@ mod tests {
         }
 
         #[test]
-        fn flipped_hex_digit_fails_open(
+        fn replaced_character_fails_decoding_or_opening(
             data in proptest::collection::vec(any::<u8>(), 0..64),
             at in any::<usize>(),
+            by in 0usize..63,
         ) {
+            const ALPHABET: &[u8; 64] =
+                b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
             let sealed = seal(&key(), &data, b"at-rest");
             let mut json = serde_json::to_string(&sealed).unwrap().into_bytes();
             // Skip the opening quote; stay clear of the closing one.
             let i = 1 + at % (json.len() - 2);
-            json[i] = if json[i] == b'0' { b'1' } else { b'0' };
-            let tampered: Sealed = serde_json::from_slice(&json).unwrap();
-            prop_assert_eq!(open(&key(), &tampered, b"at-rest"), Err(OpenError));
+            // Any other alphabet character, `=` included as an original.
+            let others: Vec<u8> = ALPHABET.iter().copied().filter(|&c| c != json[i]).collect();
+            json[i] = others[by % others.len()];
+            if let Ok(tampered) = serde_json::from_slice::<Sealed>(&json) {
+                prop_assert_eq!(open(&key(), &tampered, b"at-rest"), Err(OpenError));
+            }
         }
 
         #[test]

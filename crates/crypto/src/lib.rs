@@ -44,6 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod aead;
+mod base64;
 pub mod chacha20;
 pub mod hmac;
 pub mod kms;

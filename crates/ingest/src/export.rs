@@ -283,7 +283,7 @@ impl ExportService {
 
     /// The public key partners use to verify shared redactable records.
     pub fn share_verification_key(&self) -> MerklePublicKey {
-        self.shared.share_public
+        self.shared.share_signer().lock().public_key()
     }
 
     /// Leakage-free partial sharing (§IV-B1): signs one stored record's
@@ -315,7 +315,7 @@ impl ExportService {
             .map(|(n, v)| (n.as_str(), v.as_slice()))
             .collect();
         let mut rng = hc_common::rng::seeded_stream(reference.as_u128() as u64, 911);
-        let mut signer = self.shared.share_signer.lock();
+        let mut signer = self.shared.share_signer().lock();
         let mut document = RedactableDocument::sign(&fields, &mut signer, &mut rng)
             .map_err(|_| ExportError::Unreadable(reference))?;
         drop(signer);

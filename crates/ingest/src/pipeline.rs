@@ -35,7 +35,7 @@
 //! as the serial path.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -129,12 +129,26 @@ pub(crate) struct SharedState {
     pub(crate) study: GroupId,
     /// The study's display name (matched against in-bundle consents).
     pub(crate) study_name: String,
-    /// Platform signing key for leakage-free redactable record sharing.
-    pub(crate) share_signer: Mutex<hc_crypto::ots::MerkleSigner>,
-    /// The verification key for shared redactable documents.
-    pub(crate) share_public: hc_crypto::ots::MerklePublicKey,
+    /// Platform signing key for leakage-free redactable record sharing,
+    /// built on first use by [`SharedState::share_signer`]: only sharing
+    /// needs its 64 one-time keys, which cost more than the rest of a
+    /// boot.
+    share_signer: OnceLock<Mutex<hc_crypto::ots::MerkleSigner>>,
+    /// The pipeline seed; the signer draws from its stream 910.
+    seed: u64,
     /// The export read cache.
     pub(crate) opened: OpenedRecords,
+}
+
+impl SharedState {
+    /// The sharing signer, generated from the pipeline seed's stream 910
+    /// the first time it is asked for.
+    pub(crate) fn share_signer(&self) -> &Mutex<hc_crypto::ots::MerkleSigner> {
+        self.share_signer.get_or_init(|| {
+            let mut rng = hc_common::rng::seeded_stream(self.seed, 910);
+            Mutex::new(hc_crypto::ots::MerkleSigner::generate(&mut rng, 6))
+        })
+    }
 }
 
 #[derive(Clone)]
@@ -273,9 +287,6 @@ impl IngestionPipeline {
         // ever runs. Backpressure comes from the job budget instead.
         // hc-lint: allow(sync-unbounded-channel)
         let (tx, rx) = unbounded();
-        let mut signer_rng = hc_common::rng::seeded_stream(seed, 910);
-        let share_signer = hc_crypto::ots::MerkleSigner::generate(&mut signer_rng, 6);
-        let share_public = share_signer.public_key();
         IngestionPipeline {
             shared: Arc::new(SharedState {
                 kms: deps.kms,
@@ -286,8 +297,8 @@ impl IngestionPipeline {
                 pseudonyms: Mutex::new(HashMap::new()),
                 study,
                 study_name: study_name.to_owned(),
-                share_signer: Mutex::new(share_signer),
-                share_public,
+                share_signer: OnceLock::new(),
+                seed,
                 opened: OpenedRecords::new(seed),
             }),
             scanner: MalwareScanner::new(),
@@ -1107,6 +1118,19 @@ pub(crate) mod tests {
             }));
         }
         Bundle::new(BundleKind::Transaction, entries)
+    }
+
+    #[test]
+    fn sharing_signer_is_built_on_first_use_from_stream_910() {
+        let pipeline = build_pipeline(31);
+        assert!(
+            pipeline.shared.share_signer.get().is_none(),
+            "boot builds no signer"
+        );
+        let mut rng = hc_common::rng::seeded_stream(31, 910);
+        let expected = hc_crypto::ots::MerkleSigner::generate(&mut rng, 6).public_key();
+        assert_eq!(pipeline.export_service().share_verification_key(), expected);
+        assert!(pipeline.shared.share_signer.get().is_some());
     }
 
     #[test]

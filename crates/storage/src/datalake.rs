@@ -144,6 +144,8 @@ pub struct DataLake {
     hot_latency: SimDuration,
     cold_latency: SimDuration,
     injector: FaultInjector,
+    /// A crash tore the log's tail, and no recovery has run since.
+    crashed: bool,
 }
 
 impl std::fmt::Debug for DataLake {
@@ -168,6 +170,7 @@ impl DataLake {
             hot_latency: SimDuration::from_micros(100),
             cold_latency: SimDuration::from_millis(20),
             injector: FaultInjector::disabled(),
+            crashed: false,
         }
     }
 
@@ -216,7 +219,9 @@ impl DataLake {
                 // body hit the log, the tail did not, and the in-memory
                 // maps were never touched.
                 let reference = ReferenceId::random(rng);
+                self.recover_before_write();
                 self.wal.append_torn(reference.as_u128(), WalOp::Put, &data);
+                self.crashed = true;
                 self.clock.advance(self.hot_latency);
                 return Err(LakeError::CrashedMidWrite);
             }
@@ -225,8 +230,11 @@ impl DataLake {
     }
 
     /// Crash recovery: replays the WAL, discards any torn tail, and
-    /// re-verifies the lake against the repaired log.
+    /// re-verifies the lake against the repaired log. The next write
+    /// after a crash runs it first, as a restarted store recovers before
+    /// it serves writes, so nothing is logged behind a torn frame.
     pub fn recover_from_wal(&mut self) -> WalRecoveryReport {
+        self.crashed = false;
         let mut records_replayed = 0;
         let err = self.wal.visit(|_| records_replayed += 1);
         let mut report = WalRecoveryReport {
@@ -239,6 +247,15 @@ impl DataLake {
         }
         report.consistent = self.verify_against_wal().is_empty();
         report
+    }
+
+    /// Runs [`recover_from_wal`](Self::recover_from_wal) if a crash tore
+    /// the log's tail since the last recovery. Every write calls it
+    /// before it touches the log or the maps.
+    fn recover_before_write(&mut self) {
+        if self.crashed {
+            self.recover_from_wal();
+        }
     }
 
     /// Appends a new version to an existing record.
@@ -266,6 +283,7 @@ impl DataLake {
         data: Vec<u8>,
         tags: &[(&str, &str)],
     ) -> u32 {
+        self.recover_before_write();
         // The log owns the stored bytes; the version views its frame.
         let data = self
             .wal
@@ -388,6 +406,7 @@ impl DataLake {
     ///
     /// Fails if the record is unknown.
     pub fn tombstone(&mut self, reference: ReferenceId) -> Result<(), LakeError> {
+        self.recover_before_write();
         let entry = self
             .records
             .get_mut(&reference)
@@ -407,6 +426,7 @@ impl DataLake {
     /// Fails if the record is unknown; purging a live (non-tombstoned)
     /// record is allowed and acts as tombstone + purge.
     pub fn purge(&mut self, reference: ReferenceId) -> Result<(), LakeError> {
+        self.recover_before_write();
         let entry = self
             .records
             .remove(&reference)

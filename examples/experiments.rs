@@ -481,7 +481,8 @@ fn e6() {
     );
 
     println!("worker scaling (valid-only workload of {n}):");
-    println!("{:<10} {:>14}", "workers", "uploads/s wall");
+    println!("{:<10} {:>14} {:>10}", "workers", "uploads/s wall", "vs 1");
+    let mut one_worker = None;
     for workers in [1usize, 2, 4, 8] {
         let platform = build();
         for i in 0..n {
@@ -493,8 +494,43 @@ fn e6() {
         let start = Instant::now();
         platform.pipeline.process_all_parallel(workers);
         let rate = n as f64 / start.elapsed().as_secs_f64();
-        println!("{workers:<10} {rate:>14.0}");
+        let base = *one_worker.get_or_insert(rate);
+        println!("{workers:<10} {rate:>14.0} {:>9.2}x", rate / base);
     }
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    println!(
+        "host ceiling ({cores} cores): SHA-256 on 2 plain threads ran {:.2}x 1 thread",
+        two_thread_ceiling()
+    );
+}
+
+/// What a second thread buys on this host right now: a fixed SHA-256
+/// workload (16 MB in 64 KB blocks) on one plain thread, then split over
+/// two, the fastest of five alternating rounds each. Returns the
+/// one-thread time over the two-thread time, the ceiling a 2-worker
+/// speed-up is read against.
+fn two_thread_ceiling() -> f64 {
+    let block = vec![0x5a_u8; 1 << 16];
+    let blocks = if cfg!(debug_assertions) { 16 } else { 256 };
+    let run = |threads: usize| {
+        let start = Instant::now();
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    for _ in 0..blocks / threads {
+                        std::hint::black_box(hc_crypto::sha256::hash(std::hint::black_box(&block)));
+                    }
+                });
+            }
+        });
+        start.elapsed().as_secs_f64()
+    };
+    let (mut one, mut two) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        one = one.min(run(1));
+        two = two.min(run(2));
+    }
+    one / two
 }
 
 /// E7 — anonymization level vs utility and risk (§IV-C).

@@ -10,7 +10,7 @@
 //! This supports exactly what the workspace relies on: derived impls over
 //! structs and enums of primitives, strings, collections and nested serde
 //! types, including the internally tagged `#[serde(tag = "...")]` enum
-//! form, and hand-written impls such as a hex-string envelope.
+//! form, and hand-written impls such as a base64-string envelope.
 //!
 //! Objects come out with their keys in ascending byte order, the order a
 //! `BTreeMap<String, _>` iterates in. When reading, a missing `Option`

@@ -423,43 +423,114 @@ impl<'a> Reader<'a> {
 
     /// Scans the object ahead for the string under `key` (the last one
     /// if the key repeats) without consuming it: the discriminant of an
-    /// internally tagged enum named `ty`. The scan validates the whole
-    /// object.
+    /// internally tagged enum named `ty`.
+    ///
+    /// The scan reads the object's keys, and the tag's value, with the
+    /// string parser, and skips every other value by matching brackets
+    /// and quotes only. It validates nothing else: the variant's read
+    /// that follows does, byte by byte.
     ///
     /// # Errors
     ///
-    /// Fails when the next value is not an object, is malformed, or has
-    /// no string under `key`.
+    /// Fails when the next value is not an object or has no string under
+    /// `key`. Input the scan cannot follow fails with a shape error
+    /// rather than a syntax error, since the scan has skipped what a
+    /// syntax error might name first; `serde_json`, which re-checks the
+    /// document on any shape error, then reports the first one.
     pub fn tag(&self, key: &str, ty: &str) -> Result<Cow<'a, str>, DeError> {
         let mut scan = self.clone();
         if scan.peek()? != b'{' {
             return Err(scan.unexpected(&format!("{ty} object")));
         }
-        let mut found = None;
-        scan.object(|r, k| {
-            if k != key {
-                return r.skip_value();
-            }
-            found = Some(if r.peek()? == b'"' {
-                Some(r.string()?)
-            } else {
-                r.skip_value()?;
-                None
-            });
-            Ok(())
-        })?;
-        match found {
-            Some(Some(tag)) => Ok(tag),
-            Some(None) => Err(DeError::msg(format!(
+        match scan.find_tag(key) {
+            Ok(Some(Some(tag))) => Ok(tag),
+            Ok(Some(None)) => Err(DeError::msg(format!(
                 "tag `{key}` of {ty} must be a string"
             ))),
-            None => Err(DeError::msg(format!("missing tag `{key}` for {ty}"))),
+            Ok(None) => Err(DeError::msg(format!("missing tag `{key}` for {ty}"))),
+            Err(_) => Err(DeError::msg(format!("malformed {ty} object"))),
+        }
+    }
+
+    /// The last value under `key` in the object that starts here: `None`
+    /// when the key is absent, `Some(None)` when its value is not a
+    /// string.
+    fn find_tag(&mut self, key: &str) -> Result<Option<Option<Cow<'a, str>>>, DeError> {
+        self.expect(b'{')?;
+        let mut found = None;
+        if self.peek()? == b'}' {
+            return Ok(found);
+        }
+        loop {
+            let k = self.string()?;
+            self.expect(b':')?;
+            if k == key && self.peek()? == b'"' {
+                found = Some(Some(self.string()?));
+            } else {
+                if k == key {
+                    found = Some(None);
+                }
+                self.pass_value()?;
+            }
+            match self.peek()? {
+                b',' => self.pos += 1,
+                b'}' => return Ok(found),
+                _ => return Err(DeError::syntax("expected `,` or `}` in object")),
+            }
+        }
+    }
+
+    /// Moves past one value by matching brackets and quotes, without
+    /// checking what lies between them: a scalar ends at the next `,`,
+    /// `}`, `]` or whitespace.
+    fn pass_value(&mut self) -> Result<(), DeError> {
+        let bytes = self.bytes();
+        let mut depth = 0usize;
+        self.skip_ws();
+        while let Some(&b) = bytes.get(self.pos) {
+            match b {
+                b'"' => {
+                    self.pass_string()?;
+                    if depth == 0 {
+                        return Ok(());
+                    }
+                    continue;
+                }
+                b'{' | b'[' => depth += 1,
+                b'}' | b']' | b',' | b' ' | b'\t' | b'\n' | b'\r' if depth == 0 => return Ok(()),
+                b'}' | b']' => {
+                    depth -= 1;
+                    if depth == 0 {
+                        self.pos += 1;
+                        return Ok(());
+                    }
+                }
+                _ => {}
+            }
+            self.pos += 1;
+        }
+        Err(DeError::syntax("unexpected end of input"))
+    }
+
+    /// Moves past the string that starts here, stepping over escapes.
+    fn pass_string(&mut self) -> Result<(), DeError> {
+        self.pos += 1;
+        loop {
+            let rest = self.bytes().get(self.pos..).unwrap_or_default();
+            let run = find_quote_or_backslash(rest)
+                .ok_or_else(|| DeError::syntax("unterminated string"))?;
+            let quote = rest.get(run) == Some(&b'"');
+            // Past the quote, or past the backslash and the byte it escapes.
+            self.pos += run + if quote { 1 } else { 2 };
+            if quote {
+                return Ok(());
+            }
         }
     }
 }
 
 /// Offset of the first `"` or `\\` in `bytes`, testing eight bytes at a
-/// time: a long string, such as a hex envelope, is mostly one run.
+/// time: a long string, such as a base64 envelope, is mostly one run.
 pub(crate) fn find_quote_or_backslash(bytes: &[u8]) -> Option<usize> {
     const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
     const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);

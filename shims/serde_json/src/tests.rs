@@ -213,6 +213,38 @@ fn tag_first_middle_last_and_repeated() {
 }
 
 #[test]
+fn tag_under_a_nested_key_is_not_the_tag() {
+    // Only the object's own keys name the variant: a nested object's
+    // `kind`, a string holding brackets and quotes, and an array of
+    // objects are skipped whole.
+    for text in [
+        r#"{"a":{"kind":"Flag"},"kind":"Marker"}"#,
+        r#"{"kind":"Marker","a":{"kind":"Flag","b":[{"kind":1}]}}"#,
+        r#"{"a":["}\"{[",{"kind":"Flag"},-1.5e3,true],"kind":"Marker","z":{}}"#,
+        r#"{ "a" : { "kind" : "Flag" } , "kind" : "Marker" }"#,
+    ] {
+        assert_eq!(from_str::<Entry>(text).unwrap(), Entry::Marker, "{text}");
+    }
+    let err = |text: &str| from_str::<Entry>(text).unwrap_err().to_string();
+    assert!(err(r#"{"a":{"kind":"Marker"}}"#).contains("missing tag `kind` for Entry"));
+    // Damage the scan skips over is still found, and named as the
+    // oracle names it.
+    for text in [
+        r#"{"a":{"kind":1.2.3},"kind":"Marker"}"#,
+        r#"{"a":[1,],"kind":"Marker"}"#,
+        r#"{"a":{"b":"\q"},"kind":"Marker"}"#,
+        r#"{"a":{"kind":nul},"kind":"Marker"}"#,
+        r#"{"a":1,"kind":"Marker""#,
+        r#"{"a":[1,2,"kind":"Marker"}"#,
+        r#"{"a":[1,2}],"kind":"Marker"}"#,
+        r#"{"a":"open,"kind":"Marker"}"#,
+    ] {
+        let expected = oracle::parse(text).unwrap_err().to_string();
+        assert_eq!(err(text), expected, "{text}");
+    }
+}
+
+#[test]
 fn tag_merges_into_the_newtype_payload_in_key_order() {
     let reading = Reading {
         id: "r".into(),

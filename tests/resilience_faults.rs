@@ -31,7 +31,7 @@ use hc_ledger::chain::ChainStatus;
 use hc_ledger::consensus::{FAULT_PIPELINE_CRASH, FAULT_PIPELINE_PARTITION};
 use hc_ledger::provenance::ProvenanceAction;
 use hc_resilience::{BreakerState, HealthState};
-use hc_storage::datalake::{LakeError, STORAGE_CRASH};
+use hc_storage::datalake::{DataLake, LakeError, WalRecoveryReport, STORAGE_CRASH};
 
 /// Runs the scripted scenario and returns the injector's fault trace
 /// (used by the determinism test) after asserting every invariant.
@@ -218,6 +218,45 @@ fn same_seed_same_fault_trace() {
     // consistent. (No assertion on inequality: the schedule here is
     // mostly deterministic by construction.)
     assert!(!other.is_empty());
+}
+
+/// A crashed lake recovers before its next write, as a restarted store
+/// recovers before it serves writes: a put after a torn append is logged
+/// in place of the torn frame, not behind it, where recovery would drop
+/// it.
+#[test]
+fn a_write_after_a_crash_recovers_the_log_first() {
+    let clock = hc_common::clock::SimClock::new();
+    let mut lake = DataLake::new(clock.clone());
+    let mut rng = hc_common::rng::seeded(65);
+    let injector = FaultInjector::new(clock, 0xD1F);
+    injector.schedule(
+        STORAGE_CRASH,
+        FaultSpec::always(FaultKind::StorageCrash).limit(1),
+    );
+    lake.set_fault_injector(injector);
+
+    let r1 = lake.put(&mut rng, b"before".to_vec(), &[]);
+    assert_eq!(
+        lake.try_put(&mut rng, b"doomed".to_vec(), &[]),
+        Err(LakeError::CrashedMidWrite)
+    );
+    let r2 = lake.put(&mut rng, b"after".to_vec(), &[]);
+    let report = lake.recover_from_wal();
+    assert_eq!(
+        report,
+        WalRecoveryReport {
+            records_replayed: 2,
+            torn_bytes_discarded: 0,
+            consistent: true,
+        }
+    );
+    let (records, err) = lake.wal().replay();
+    assert_eq!(err, None);
+    let logged: Vec<u128> = records.iter().map(|r| r.key).collect();
+    assert_eq!(logged, [r1.as_u128(), r2.as_u128()]);
+    assert_eq!(lake.get_latest(r1).unwrap().data, b"before");
+    assert_eq!(lake.get_latest(r2).unwrap().data, b"after");
 }
 
 /// Soak schedule seed: `HC_SOAK_SEED` env override, default 0x50AC —
