@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use hc_common::clock::{SimClock, SimDuration, SimInstant};
 use hc_common::id::UserId;
-use hc_crypto::hmac;
+use hc_crypto::hmac::HmacKey;
 use hc_crypto::sha256::{self, Digest};
 
 /// A bearer token: claims plus an HMAC over their canonical encoding.
@@ -120,7 +120,8 @@ impl IdentityProvider for LocalDirectory {
 #[derive(Debug)]
 pub struct FederatedProvider {
     name: String,
-    federation_key: [u8; 32],
+    /// Absorbed once; its `Debug` prints no key material.
+    federation_key: HmacKey,
     directory: HashMap<String, UserId>,
 }
 
@@ -129,7 +130,7 @@ impl FederatedProvider {
     pub fn new(name: &str, federation_key: [u8; 32]) -> Self {
         FederatedProvider {
             name: name.to_owned(),
-            federation_key,
+            federation_key: HmacKey::new(&federation_key),
             directory: HashMap::new(),
         }
     }
@@ -143,7 +144,9 @@ impl FederatedProvider {
     /// would send the platform after its own authentication ceremony).
     pub fn assert_identity(&self, username: &str) -> Option<(UserId, Digest)> {
         let user = *self.directory.get(username)?;
-        let tag = hmac::hmac(&self.federation_key, &user.as_u128().to_le_bytes());
+        let tag = self
+            .federation_key
+            .tag_parts(&[&user.as_u128().to_le_bytes()]);
         Some((user, tag))
     }
 }
@@ -158,7 +161,9 @@ impl IdentityProvider for FederatedProvider {
             .directory
             .get(username)
             .ok_or(AuthError::BadCredentials)?;
-        let expected = hmac::hmac(&self.federation_key, &user.as_u128().to_le_bytes());
+        let expected = self
+            .federation_key
+            .tag_parts(&[&user.as_u128().to_le_bytes()]);
         if hc_common::hex::constant_time_eq(expected.as_bytes(), assertion_tag) {
             Ok(user)
         } else {
@@ -170,7 +175,8 @@ impl IdentityProvider for FederatedProvider {
 /// Issues and verifies bearer tokens.
 #[derive(Debug)]
 pub struct TokenService {
-    signing_key: [u8; 32],
+    /// Absorbed once; its `Debug` prints no key material.
+    signing_key: HmacKey,
     clock: SimClock,
     ttl: SimDuration,
     approved_providers: Vec<String>,
@@ -180,7 +186,7 @@ impl TokenService {
     /// Creates a token service with a 1-simulated-hour default TTL.
     pub fn new(signing_key: [u8; 32], clock: SimClock) -> Self {
         TokenService {
-            signing_key,
+            signing_key: HmacKey::new(&signing_key),
             clock,
             ttl: SimDuration::from_secs(3600),
             approved_providers: vec!["local".to_owned()],
@@ -218,10 +224,12 @@ impl TokenService {
         let user = provider.authenticate(username, secret)?;
         let issued_at = self.clock.now();
         let expires_at = issued_at.saturating_add(self.ttl);
-        let tag = hmac::hmac(
-            &self.signing_key,
-            &token_message(user, provider.name(), issued_at, expires_at),
-        );
+        let tag = self.signing_key.tag_parts(&[&token_message(
+            user,
+            provider.name(),
+            issued_at,
+            expires_at,
+        )]);
         Ok(AuthToken {
             user,
             issuer: provider.name().to_owned(),
@@ -238,10 +246,12 @@ impl TokenService {
     /// Returns [`AuthError::BadToken`] for forged/tampered tokens and
     /// [`AuthError::Expired`] for stale ones.
     pub fn verify(&self, token: &AuthToken) -> Result<UserId, AuthError> {
-        let expected = hmac::hmac(
-            &self.signing_key,
-            &token_message(token.user, &token.issuer, token.issued_at, token.expires_at),
-        );
+        let expected = self.signing_key.tag_parts(&[&token_message(
+            token.user,
+            &token.issuer,
+            token.issued_at,
+            token.expires_at,
+        )]);
         if !hc_common::hex::constant_time_eq(expected.as_bytes(), token.tag.as_bytes()) {
             return Err(AuthError::BadToken);
         }
@@ -255,6 +265,7 @@ impl TokenService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hc_crypto::hmac;
 
     fn setup() -> (TokenService, LocalDirectory, UserId) {
         let clock = SimClock::new();
@@ -334,6 +345,29 @@ mod tests {
             svc.login(&fed, "bob", forged.as_bytes()).unwrap_err(),
             AuthError::BadCredentials
         );
+    }
+
+    #[test]
+    fn debug_output_never_prints_signing_or_federation_keys() {
+        let mut key = [0u8; 32];
+        for (byte, value) in key.iter_mut().zip(0xa0u8..) {
+            *byte = value;
+        }
+        let printed = [
+            format!("{:?}", TokenService::new(key, SimClock::new())),
+            format!("{:?}", FederatedProvider::new("idp", key)),
+        ];
+        for debug in printed {
+            for key_text in [
+                format!("{key:?}"),
+                format!("{key:x?}"),
+                hc_common::hex::encode(&key),
+            ] {
+                assert!(!debug.contains(&key_text), "{debug}");
+            }
+            // Not even a run of the key's first bytes.
+            assert!(!debug.contains("160, 161, 162"), "{debug}");
+        }
     }
 
     #[test]

@@ -1,18 +1,29 @@
-//! Authenticated encryption: ChaCha20 encrypt-then-MAC with HMAC-SHA-256.
+//! Authenticated encryption: RFC 8439 ChaCha20-Poly1305 with a
+//! synthetic nonce.
 //!
 //! This is the concrete realization of the paper's §IV-B1 design: data is
 //! "encrypted with a well-established shared key" and integrity-protected
-//! with HMACs. The MAC covers the nonce, the associated data (e.g. the
-//! record's routing metadata) and the ciphertext, so any tampering —
-//! including replaying a ciphertext under different metadata — is detected.
+//! with a symmetric MAC rather than a signature. The MAC is Poly1305
+//! (RFC 8439 §2.8): its one-time key comes from the cipher itself, so a
+//! seal or an open under any key derives no subkeys and hashes nothing
+//! for the tag. The tag covers the associated data (e.g. the record's
+//! routing metadata) and the ciphertext, so any tampering — including
+//! replaying a ciphertext under different metadata — is detected.
+//!
+//! The nonce is synthetic: the first 12 bytes of
+//! SHA-256(key ‖ le64(aad length) ‖ aad ‖ plaintext). One message under
+//! one key always seals to the same bytes, and two different messages get
+//! different nonces, so no Poly1305 one-time key ever covers two of them.
+//! Hashing the aad's length keeps ("ab", "c") and ("a", "bc") apart.
 
 use rand::Rng;
 use serde::{DeError, Deserialize, Reader, Serialize, Writer};
 
 use crate::base64;
 use crate::chacha20::{self, Nonce};
-use crate::hmac::{self, HmacKey};
-use crate::sha256::Digest;
+use crate::hmac;
+use crate::poly1305::Poly1305;
+use crate::sha256;
 
 /// A 256-bit shared secret key.
 ///
@@ -38,7 +49,8 @@ impl SecretKey {
         &self.0
     }
 
-    /// Derives a labelled subkey (e.g. separate encryption and MAC keys).
+    /// Derives a labelled subkey with HMAC-SHA-256
+    /// ([`hmac::derive_key`]).
     pub fn derive(&self, label: &[u8]) -> SecretKey {
         SecretKey(hmac::derive_key(&self.0, label))
     }
@@ -50,26 +62,29 @@ impl std::fmt::Debug for SecretKey {
     }
 }
 
+/// Bytes of nonce and tag that precede the ciphertext on the wire.
+const FIXED_LEN: usize = 28;
+
 /// An encrypted, integrity-protected payload.
 ///
 /// Serializes as one JSON string: the RFC 4648 base64 (standard
 /// alphabet, padded) of [`Sealed::to_wire`], four characters per three
 /// wire bytes. Reading accepts only that canonical text and at least the
-/// 44 bytes of nonce and tag, and decodes it straight into the fields.
+/// 28 bytes of nonce and tag, and decodes it straight into the fields.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Sealed {
     /// Cipher nonce (public).
     pub nonce: Nonce,
     /// ChaCha20 ciphertext.
     pub ciphertext: Vec<u8>,
-    /// HMAC-SHA-256 over nonce ‖ aad ‖ ciphertext.
-    pub tag: Digest,
+    /// Poly1305 tag over the aad and the ciphertext (RFC 8439 §2.8).
+    pub tag: [u8; 16],
 }
 
 impl Sealed {
     /// Total wire size in bytes.
     pub fn wire_len(&self) -> usize {
-        12 + self.ciphertext.len() + 32
+        FIXED_LEN + self.ciphertext.len()
     }
 
     /// Encodes the envelope as nonce ‖ tag ‖ ciphertext, [`wire_len`]
@@ -79,50 +94,50 @@ impl Sealed {
     pub fn to_wire(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_len());
         out.extend_from_slice(&self.nonce.0);
-        out.extend_from_slice(self.tag.as_bytes());
+        out.extend_from_slice(&self.tag);
         out.extend_from_slice(&self.ciphertext);
         out
     }
 
     /// Decodes the [`to_wire`](Sealed::to_wire) layout. Returns `None`
-    /// when `wire` is shorter than the 44-byte nonce and tag; any longer
+    /// when `wire` is shorter than the 28-byte nonce and tag; any longer
     /// input decodes, and a damaged one fails [`open`] instead.
     pub fn from_wire(wire: &[u8]) -> Option<Sealed> {
         let (nonce, rest) = wire.split_first_chunk::<12>()?;
-        let (tag, ciphertext) = rest.split_first_chunk::<32>()?;
+        let (tag, ciphertext) = rest.split_first_chunk::<16>()?;
         Some(Sealed {
             nonce: Nonce(*nonce),
             ciphertext: ciphertext.to_vec(),
-            tag: Digest(*tag),
+            tag: *tag,
         })
     }
 }
 
-/// Nonce, tag and the ciphertext's first byte: fifteen whole base64
-/// groups. The fifteenth straddles the tag and the ciphertext, so the
-/// envelope is coded as these bytes, kept on the stack, and then the
-/// rest of the ciphertext, which starts a group.
-const HEAD_LEN: usize = 45;
+/// Nonce, tag and up to the ciphertext's first two bytes: ten whole
+/// base64 groups. The 28 fixed bytes end one byte into the tenth group,
+/// so the envelope is coded as these bytes, kept on the stack, and then
+/// the rest of the ciphertext, which starts a group.
+const HEAD_LEN: usize = 30;
 
 impl Serialize for Sealed {
     fn serialize(&self, out: &mut Writer) {
         // The whole string and its quotes, so the closing quote does not
         // reallocate the envelope.
         out.reserve(base64::encoded_len(self.wire_len()) + 2);
+        let (first, ciphertext) = self
+            .ciphertext
+            .split_at(self.ciphertext.len().min(HEAD_LEN - FIXED_LEN));
         let mut head = [0u8; HEAD_LEN];
         let (nonce, rest) = head.split_at_mut(12);
-        let (tag, first) = rest.split_at_mut(32);
+        let (tag, head_ciphertext) = rest.split_at_mut(16);
         nonce.copy_from_slice(&self.nonce.0);
-        tag.copy_from_slice(self.tag.as_bytes());
-        let (head_len, ciphertext): (usize, &[u8]) = match self.ciphertext.split_first() {
-            Some((&byte, ciphertext)) => {
-                first.fill(byte);
-                (HEAD_LEN, ciphertext)
-            }
-            None => (HEAD_LEN - 1, &[]),
-        };
+        tag.copy_from_slice(&self.tag);
+        head_ciphertext
+            .split_at_mut(first.len())
+            .0
+            .copy_from_slice(first);
         out.str_unescaped(|buf| {
-            base64::encode_into(head.split_at(head_len).0, buf);
+            base64::encode_into(head.split_at(FIXED_LEN + first.len()).0, buf);
             base64::encode_into(ciphertext, buf);
         });
     }
@@ -133,31 +148,27 @@ impl Deserialize for Sealed {
         let text = input.str()?;
         let text = text.as_bytes();
         let wire_len = base64::decoded_len(text).map_err(DeError::msg)?;
-        let Some(ciphertext_len) = wire_len.checked_sub(HEAD_LEN - 1) else {
+        let Some(ciphertext_len) = wire_len.checked_sub(FIXED_LEN) else {
             return Err(DeError::msg("sealed envelope shorter than nonce and tag"));
         };
-        let mut head = [0u8; HEAD_LEN];
         let mut ciphertext = vec![0u8; ciphertext_len];
-        let (head_len, rest): (usize, &mut [u8]) = match ciphertext.split_first_mut() {
-            Some((_, rest)) => (HEAD_LEN, rest),
-            None => (HEAD_LEN - 1, &mut []),
-        };
-        // At least 44 wire bytes take at least 60 characters.
+        let (first, rest) = ciphertext.split_at_mut(ciphertext_len.min(HEAD_LEN - FIXED_LEN));
+        let head_len = FIXED_LEN + first.len();
+        let mut head = [0u8; HEAD_LEN];
+        // At least 28 wire bytes take at least 40 characters.
         let (head_text, rest_text) = text.split_at(base64::encoded_len(head_len));
         base64::decode_into(head_text, head.split_at_mut(head_len).0).map_err(DeError::msg)?;
         base64::decode_into(rest_text, rest).map_err(DeError::msg)?;
-        let [.., byte] = head;
-        if let Some(first) = ciphertext.first_mut() {
-            *first = byte;
-        }
+        let (nonce, rest) = head.split_at(12);
+        let (tag, head_ciphertext) = rest.split_at(16);
+        first.copy_from_slice(head_ciphertext.split_at(first.len()).0);
         let mut sealed = Sealed {
             nonce: Nonce::default(),
             ciphertext,
-            tag: Digest([0; 32]),
+            tag: [0; 16],
         };
-        let (nonce, rest) = head.split_at(12);
         sealed.nonce.0.copy_from_slice(nonce);
-        sealed.tag.0.copy_from_slice(rest.split_at(32).0);
+        sealed.tag.copy_from_slice(tag);
         Ok(sealed)
     }
 }
@@ -174,28 +185,53 @@ impl std::fmt::Display for OpenError {
 
 impl std::error::Error for OpenError {}
 
-/// The tag over nonce ‖ aad length ‖ aad ‖ ciphertext, hashed in place.
-fn mac(mac_key: &HmacKey, nonce: &Nonce, aad: &[u8], ciphertext: &[u8]) -> Digest {
-    let aad_len = (aad.len() as u64).to_le_bytes();
-    mac_key.tag_parts(&[&nonce.0, &aad_len, aad, ciphertext])
+/// RFC 8439 §2.8's tag: Poly1305 under the first 32 bytes of ChaCha20
+/// block 0 for `nonce`, over aad ‖ pad16 ‖ ciphertext ‖ pad16 ‖
+/// le64(aad length) ‖ le64(ciphertext length).
+fn tag(key: &SecretKey, nonce: &Nonce, aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
+    let mut one_time_key = [0u8; 32];
+    for (byte, from) in one_time_key
+        .iter_mut()
+        .zip(chacha20::block(key.as_bytes(), 0, nonce))
+    {
+        *byte = from;
+    }
+    let mut poly = Poly1305::new(&one_time_key);
+    poly.update_padded(aad);
+    poly.update_padded(ciphertext);
+    let lengths = u128::from(aad.len() as u64) | u128::from(ciphertext.len() as u64) << 64;
+    poly.update_padded(&lengths.to_le_bytes());
+    poly.finalize()
 }
 
-/// Seals `plaintext` under `key` with a deterministic per-key nonce counter
-/// supplied by the caller via [`seal_with_nonce`], or a nonce derived from
-/// the plaintext+aad hash here.
+/// Seals `plaintext` under `key`, binding `aad`, with the synthetic
+/// nonce of the module docs.
 ///
 /// Deriving the nonce from a hash keeps the API misuse-resistant in this
-/// deterministic simulation context (the same (key, plaintext, aad) triple
-/// yields the same ciphertext; distinct messages get distinct nonces).
+/// deterministic simulation context: the same (key, aad, plaintext)
+/// yields the same envelope, and distinct messages get distinct nonces.
 pub fn seal(key: &SecretKey, plaintext: &[u8], aad: &[u8]) -> Sealed {
-    DerivedKey::new(key.clone()).seal(plaintext, aad)
+    let aad_len = (aad.len() as u64).to_le_bytes();
+    let digest = sha256::hash_parts(&[key.as_bytes(), &aad_len, aad, plaintext]);
+    let mut nonce = Nonce::default();
+    for (byte, from) in nonce.0.iter_mut().zip(digest.0) {
+        *byte = from;
+    }
+    seal_at_nonce(key, nonce, plaintext, aad)
 }
 
-/// Seals `plaintext` with an explicit nonce.
-///
-/// The caller is responsible for never reusing a nonce under the same key.
-pub fn seal_with_nonce(key: &SecretKey, nonce: Nonce, plaintext: &[u8], aad: &[u8]) -> Sealed {
-    DerivedKey::new(key.clone()).seal_with_nonce(nonce, plaintext, aad)
+/// RFC 8439 §2.8 under an explicit nonce. Two messages sealed under one
+/// (key, nonce) give away that nonce's Poly1305 key and with it
+/// forgeries, so only [`seal`], whose nonce is bound to the message, and
+/// the RFC vector test call this.
+fn seal_at_nonce(key: &SecretKey, nonce: Nonce, plaintext: &[u8], aad: &[u8]) -> Sealed {
+    let ciphertext = chacha20::encrypt(key.as_bytes(), &nonce, plaintext);
+    let tag = tag(key, &nonce, aad, &ciphertext);
+    Sealed {
+        nonce,
+        ciphertext,
+        tag,
+    }
 }
 
 /// Opens a sealed payload, verifying integrity before decrypting.
@@ -203,63 +239,17 @@ pub fn seal_with_nonce(key: &SecretKey, nonce: Nonce, plaintext: &[u8], aad: &[u
 /// # Errors
 ///
 /// Returns [`OpenError`] if the tag does not verify (wrong key, tampered
-/// ciphertext, or mismatched associated data).
+/// nonce, tag or ciphertext, or mismatched associated data).
 pub fn open(key: &SecretKey, sealed: &Sealed, aad: &[u8]) -> Result<Vec<u8>, OpenError> {
-    DerivedKey::new(key.clone()).open(sealed, aad)
-}
-
-/// A key with its encryption and MAC subkeys derived, and the MAC key's
-/// HMAC pads absorbed (8 SHA-256 compressions in all; both derivations
-/// share the parent key's absorbed pads). The free [`seal`] and [`open`]
-/// derive them on every call; a holder that seals and opens under one key
-/// many times (the KMS master key) keeps a `DerivedKey` and gets the same
-/// bytes and verdicts.
-pub(crate) struct DerivedKey {
-    key: SecretKey,
-    enc: SecretKey,
-    mac: HmacKey,
-}
-
-impl DerivedKey {
-    pub(crate) fn new(key: SecretKey) -> Self {
-        let parent = HmacKey::new(key.as_bytes());
-        DerivedKey {
-            enc: SecretKey(parent.derive(b"enc")),
-            mac: HmacKey::new(&parent.derive(b"mac")),
-            key,
-        }
+    let expected = tag(key, &sealed.nonce, aad, &sealed.ciphertext);
+    if !hc_common::hex::constant_time_eq(&expected, &sealed.tag) {
+        return Err(OpenError);
     }
-
-    /// [`seal`] under this key.
-    pub(crate) fn seal(&self, plaintext: &[u8], aad: &[u8]) -> Sealed {
-        let h = crate::sha256::hash_parts(&[self.key.as_bytes(), plaintext, aad]);
-        let mut nonce = Nonce::default();
-        nonce.0.copy_from_slice(&h.as_bytes()[..12]);
-        self.seal_with_nonce(nonce, plaintext, aad)
-    }
-
-    fn seal_with_nonce(&self, nonce: Nonce, plaintext: &[u8], aad: &[u8]) -> Sealed {
-        let ciphertext = chacha20::encrypt(self.enc.as_bytes(), &nonce, plaintext);
-        let tag = mac(&self.mac, &nonce, aad, &ciphertext);
-        Sealed {
-            nonce,
-            ciphertext,
-            tag,
-        }
-    }
-
-    /// [`open`] under this key.
-    pub(crate) fn open(&self, sealed: &Sealed, aad: &[u8]) -> Result<Vec<u8>, OpenError> {
-        let expected = mac(&self.mac, &sealed.nonce, aad, &sealed.ciphertext);
-        if !hc_common::hex::constant_time_eq(expected.as_bytes(), sealed.tag.as_bytes()) {
-            return Err(OpenError);
-        }
-        Ok(chacha20::decrypt(
-            self.enc.as_bytes(),
-            &sealed.nonce,
-            &sealed.ciphertext,
-        ))
-    }
+    Ok(chacha20::decrypt(
+        key.as_bytes(),
+        &sealed.nonce,
+        &sealed.ciphertext,
+    ))
 }
 
 #[cfg(test)]
@@ -279,14 +269,96 @@ mod tests {
 
     #[test]
     fn sealed_bytes_are_pinned() {
-        // The nonce derivation, the enc/mac key split and the MAC layout
-        // decide these bytes; every stored envelope depends on them.
+        // The nonce derivation and RFC 8439's cipher and tag decide these
+        // bytes; every stored envelope depends on them. Python
+        // `cryptography`'s ChaCha20Poly1305 gives the same.
         let sealed = seal(&key(), b"hba1c=6.5", b"patient-42");
         assert_eq!(
             hc_common::hex::encode(&sealed.to_wire()),
-            "066d7c5c06d9ca641c4e3c008d29219404117f38eefdff768b366320edc8a9e4\
-             ca98b6733878ab29c54320db1f2b229b3ff4ce6c37"
+            "bb79b6efa096f50c0c7919b5c9701466a5108214a06314a65507fb1d4a814cd9\
+             12156d9ebf"
         );
+    }
+
+    /// RFC 8439 §2.8.2's key, nonce, aad and plaintext.
+    fn rfc8439_aead_inputs() -> (SecretKey, Nonce, Vec<u8>, &'static [u8]) {
+        let mut key = [0u8; 32];
+        for (byte, value) in key.iter_mut().zip(0x80u8..) {
+            *byte = value;
+        }
+        let nonce = Nonce([7, 0, 0, 0, 0x40, 0x41, 0x42, 0x43, 0x44, 0x45, 0x46, 0x47]);
+        let aad = hc_common::hex::decode("50515253c0c1c2c3c4c5c6c7").unwrap();
+        let plaintext: &[u8] = b"Ladies and Gentlemen of the class of '99: If I could offer you \
+only one tip for the future, sunscreen would be it.";
+        (SecretKey::from_bytes(key), nonce, aad, plaintext)
+    }
+
+    #[test]
+    fn rfc8439_aead_vector() {
+        let (key, nonce, aad, plaintext) = rfc8439_aead_inputs();
+        let sealed = seal_at_nonce(&key, nonce, plaintext, &aad);
+        // The RFC prints the ciphertext's start and the tag; the rest of
+        // the ciphertext is Python `cryptography`'s.
+        assert_eq!(
+            hc_common::hex::encode(&sealed.ciphertext),
+            "d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d6\
+             3dbea45e8ca9671282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b36\
+             92ddbd7f2d778b8c9803aee328091b58fab324e4fad675945585808b4831d7bc\
+             3ff4def08e4b7a9de576d26586cec64b6116"
+        );
+        assert_eq!(
+            hc_common::hex::encode(&sealed.tag),
+            "1ae10b594f09e26a7e902ecbd0600691"
+        );
+        assert_eq!(open(&key, &sealed, &aad).unwrap(), plaintext);
+    }
+
+    #[test]
+    fn nonce_binds_where_the_aad_ends() {
+        // Key ‖ plaintext ‖ aad alone reads "abc" for both messages.
+        let ab_c = seal(&key(), b"ab", b"c");
+        let a_bc = seal(&key(), b"a", b"bc");
+        assert_ne!(ab_c.nonce, a_bc.nonce);
+        assert_eq!(open(&key(), &ab_c, b"c").unwrap(), b"ab");
+        assert_eq!(open(&key(), &a_bc, b"bc").unwrap(), b"a");
+    }
+
+    #[test]
+    fn any_flipped_bit_or_length_change_fails_open() {
+        let aad = b"record-17:at-rest".to_vec();
+        let sealed = seal(&key(), &[0x5a; 40], &aad);
+        let rejected = |tampered: &Sealed, aad: &[u8], what: &str| {
+            assert_eq!(open(&key(), tampered, aad), Err(OpenError), "{what}");
+        };
+        for bit in 0..96 {
+            let mut tampered = sealed.clone();
+            tampered.nonce.0[bit / 8] ^= 1 << (bit % 8);
+            rejected(&tampered, &aad, &format!("nonce bit {bit}"));
+        }
+        for bit in 0..128 {
+            let mut tampered = sealed.clone();
+            tampered.tag[bit / 8] ^= 1 << (bit % 8);
+            rejected(&tampered, &aad, &format!("tag bit {bit}"));
+        }
+        for bit in 0..sealed.ciphertext.len() * 8 {
+            let mut tampered = sealed.clone();
+            tampered.ciphertext[bit / 8] ^= 1 << (bit % 8);
+            rejected(&tampered, &aad, &format!("ciphertext bit {bit}"));
+        }
+        for bit in 0..aad.len() * 8 {
+            let mut other = aad.clone();
+            other[bit / 8] ^= 1 << (bit % 8);
+            rejected(&sealed, &other, &format!("aad bit {bit}"));
+        }
+        let mut shorter = sealed.clone();
+        shorter.ciphertext.pop();
+        rejected(&shorter, &aad, "one byte shorter");
+        for byte in [0u8, 0x5a, 0xff] {
+            let mut longer = sealed.clone();
+            longer.ciphertext.push(byte);
+            rejected(&longer, &aad, &format!("one byte {byte:#x} longer"));
+        }
+        assert_eq!(open(&key(), &sealed, &aad).unwrap(), [0x5a; 40]);
     }
 
     #[test]
@@ -317,13 +389,14 @@ mod tests {
     #[test]
     fn wire_len_accounts_overhead() {
         let sealed = seal(&key(), &[0u8; 100], b"");
-        assert_eq!(sealed.wire_len(), 100 + 44);
+        assert_eq!(sealed.wire_len(), 100 + 28);
+        assert_eq!(sealed.to_wire().len(), 100 + 28);
     }
 
     #[test]
     fn from_wire_rejects_input_shorter_than_nonce_and_tag() {
-        assert_eq!(Sealed::from_wire(&[0u8; 43]), None);
-        let empty = Sealed::from_wire(&[0u8; 44]).unwrap();
+        assert_eq!(Sealed::from_wire(&[0u8; 27]), None);
+        let empty = Sealed::from_wire(&[0u8; 28]).unwrap();
         assert!(empty.ciphertext.is_empty());
     }
 
@@ -349,8 +422,8 @@ mod tests {
     #[test]
     fn json_form_is_written_into_a_buffer_of_its_exact_length() {
         // The empty, a short, a routine-upload and a lab-history
-        // plaintext, and one of each length mod 3 around the fifteenth
-        // group, where the tag meets the ciphertext.
+        // plaintext, and ciphertexts of 0 to 3 bytes, which put every
+        // place of the tenth group, where the tag meets the ciphertext.
         for len in [0usize, 1, 2, 3, 4, 9, 2_298, 69_208] {
             let plaintext: Vec<u8> = (0..len).map(|i| i as u8).collect();
             let sealed = seal(&key(), &plaintext, b"at-rest");
@@ -362,7 +435,8 @@ mod tests {
 
     #[test]
     fn json_form_rejects_malformed_envelopes() {
-        let text = quoted_base64(&[7u8; 44]);
+        assert!(serde_json::from_str::<Sealed>(&quoted_base64(&[7u8; 28])).is_ok());
+        let text = quoted_base64(&[7u8; 29]);
         let body = &text[1..text.len() - 1];
         assert!(serde_json::from_str::<Sealed>(&text).is_ok());
         let rejected = |json: &str, why: &str| {
@@ -386,13 +460,14 @@ mod tests {
             &format!("\"{}={}\"", &body[..8], &body[9..]),
             "= before the end",
         );
-        let padded = quoted_base64(&[7u8; 46]);
+        let padded = quoted_base64(&[7u8; 31]);
         assert!(padded.ends_with("Bw==\""));
         rejected(&padded.replace("Bw==", "B==="), "three =");
         rejected(&padded.replace("Bw==", "Bx=="), "non-zero unused bits");
-        // `[7; 44]` ends in one `=`; 43 bytes end in two.
+        // `[7; 29]` ends in one `=`; 27 bytes end in none and 25 in two.
         assert!(body.ends_with("Bwc="));
-        rejected(&quoted_base64(&[7u8; 43]), "43 bytes");
+        rejected(&quoted_base64(&[7u8; 27]), "27 bytes");
+        rejected(&quoted_base64(&[7u8; 25]), "25 bytes");
         rejected("\"\"", "no bytes");
     }
 

@@ -93,12 +93,36 @@ fn encode_group([a, b, c]: [u8; 3]) -> [u8; 4] {
     [s0, s1, s2, s3]
 }
 
+/// Four groups at once: each half is one 48-bit load whose four 12-bit
+/// fields take one lookup each, and the 16 symbols are one store.
+fn encode_four_groups([a, b, c, d, e, f, g, h, i, j, k, l]: [u8; 12]) -> [u8; 16] {
+    let high = u64::from_be_bytes([a, b, c, d, e, f, 0, 0]);
+    let low = u64::from_be_bytes([g, h, i, j, k, l, 0, 0]);
+    let field = |half: u64, shift: u32| pair((half >> shift) as u32);
+    let [s0, s1] = field(high, 52);
+    let [s2, s3] = field(high, 40);
+    let [s4, s5] = field(high, 28);
+    let [s6, s7] = field(high, 16);
+    let [s8, s9] = field(low, 52);
+    let [s10, s11] = field(low, 40);
+    let [s12, s13] = field(low, 28);
+    let [s14, s15] = field(low, 16);
+    [
+        s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13, s14, s15,
+    ]
+}
+
 /// Appends the base64 of `bytes` to `out`, padding the last group.
 pub(crate) fn encode_into(bytes: &[u8], out: &mut Vec<u8>) {
     let start = out.len();
     out.resize(start + encoded_len(bytes.len()), 0);
-    let (groups, rest) = bytes.as_chunks::<3>();
-    let (quads, _) = out.split_at_mut(start).1.as_chunks_mut::<4>();
+    let (wide, tail) = bytes.as_chunks::<12>();
+    let (wide_out, tail_out) = out.split_at_mut(start).1.split_at_mut(wide.len() * 16);
+    for (symbols, bytes) in wide_out.as_chunks_mut::<16>().0.iter_mut().zip(wide) {
+        *symbols = encode_four_groups(*bytes);
+    }
+    let (groups, rest) = tail.as_chunks::<3>();
+    let (quads, _) = tail_out.as_chunks_mut::<4>();
     let (full, last) = quads.split_at_mut(groups.len());
     for (quad, group) in full.iter_mut().zip(groups) {
         *quad = encode_group(*group);
@@ -282,7 +306,7 @@ mod tests {
             data in proptest::collection::vec(any::<u8>(), 0..301),
         ) {
             // Ciphertexts of 0 to 3 bytes put every place of the
-            // fifteenth group, where the tag meets the ciphertext, and
+            // tenth group, where the tag meets the ciphertext, and
             // every padding at the end of the text.
             let key = crate::aead::SecretKey::from_bytes([3u8; 32]);
             for len in [0, 1, 2, 3, data.len()] {

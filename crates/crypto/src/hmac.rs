@@ -1,8 +1,11 @@
-//! HMAC-SHA-256 (RFC 2104), the paper's recommended integrity mechanism.
+//! HMAC-SHA-256 (RFC 2104), a symmetric MAC in the paper's sense.
 //!
 //! §IV-B1: "we recommend using HMACs instead of digital signatures unless
-//! the digital signatures are part of the encryption process". Validated
-//! against RFC 4231 test vectors.
+//! the digital signatures are part of the encryption process". HMAC
+//! serves the short messages: login tokens, federation assertions,
+//! credentials, pseudonyms and key derivation. Sealed payloads carry the
+//! other symmetric MAC, [`aead`](crate::aead)'s Poly1305, which needs no
+//! hash pass over the payload. Validated against RFC 4231 test vectors.
 
 use crate::sha256::{Digest, Sha256};
 
@@ -33,7 +36,9 @@ pub fn hmac_parts(key: &[u8], parts: &[&[u8]]) -> Tag {
 /// An HMAC key with its inner and outer pad blocks already absorbed, so a
 /// holder that tags many messages under one key skips the two pad
 /// compressions [`hmac_parts`] spends per tag on rebuilding them.
-pub(crate) struct HmacKey {
+///
+/// The debug representation never prints key material.
+pub struct HmacKey {
     inner: Sha256,
     outer: Sha256,
 }
@@ -41,7 +46,7 @@ pub(crate) struct HmacKey {
 impl HmacKey {
     /// Absorbs `key`'s pads. Keys longer than the 64-byte block are first
     /// hashed, per RFC 2104.
-    pub(crate) fn new(key: &[u8]) -> Self {
+    pub fn new(key: &[u8]) -> Self {
         let mut key_block = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
             let hashed = crate::sha256::hash(key);
@@ -61,7 +66,7 @@ impl HmacKey {
     }
 
     /// `HMAC(key, parts[0] ‖ parts[1] ‖ …)`.
-    pub(crate) fn tag_parts(&self, parts: &[&[u8]]) -> Tag {
+    pub fn tag_parts(&self, parts: &[&[u8]]) -> Tag {
         let mut inner = self.inner.clone();
         for p in parts {
             inner.update(p);
@@ -74,6 +79,12 @@ impl HmacKey {
     /// [`derive_key`] under this key.
     pub(crate) fn derive(&self, label: &[u8]) -> [u8; 32] {
         *self.tag_parts(&[label, &[1u8]]).as_bytes()
+    }
+}
+
+impl std::fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("HmacKey(..)")
     }
 }
 
@@ -172,6 +183,11 @@ mod tests {
         assert!(verify(b"k", b"m", &tag));
         assert!(!verify(b"k", b"m2", &tag));
         assert!(!verify(b"k2", b"m", &tag));
+    }
+
+    #[test]
+    fn debug_hides_key_material() {
+        assert_eq!(format!("{:?}", HmacKey::new(&[0x5a; 32])), "HmacKey(..)");
     }
 
     #[test]

@@ -20,7 +20,7 @@ use rand::Rng;
 
 use hc_common::id::{KeyId, Principal};
 
-use crate::aead::{self, DerivedKey, Sealed, SecretKey};
+use crate::aead::{self, Sealed, SecretKey};
 
 /// Errors returned by the key management system.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -75,8 +75,9 @@ struct KeyEntry {
 /// assert!(kms.open(&svc, key_id, &sealed, b"").is_err());
 /// ```
 pub struct KeyManagementSystem {
-    /// The key-encryption key, its subkeys derived once at construction.
-    master: DerivedKey,
+    /// The key-encryption key. Each DEK is sealed under it with the
+    /// record key's id as the aad.
+    master: SecretKey,
     keys: RwLock<HashMap<KeyId, KeyEntry>>,
     audit: RwLock<Vec<KmsAuditEvent>>,
 }
@@ -98,7 +99,7 @@ impl KeyManagementSystem {
     /// Creates a KMS with a fresh random master key.
     pub fn new<R: Rng + ?Sized>(rng: &mut R) -> Self {
         KeyManagementSystem {
-            master: DerivedKey::new(SecretKey::generate(rng)),
+            master: SecretKey::generate(rng),
             keys: RwLock::new(HashMap::new()),
             audit: RwLock::new(Vec::new()),
         }
@@ -108,9 +109,11 @@ impl KeyManagementSystem {
     pub fn create_key<R: Rng + ?Sized>(&self, rng: &mut R, authorized: &[Principal]) -> KeyId {
         let key_id = KeyId::random(rng);
         let dek = SecretKey::generate(rng);
-        let wrapped = self
-            .master
-            .seal(dek.as_bytes(), &key_id.as_u128().to_le_bytes());
+        let wrapped = aead::seal(
+            &self.master,
+            dek.as_bytes(),
+            &key_id.as_u128().to_le_bytes(),
+        );
         self.keys.write().insert(
             key_id,
             KeyEntry {
@@ -153,10 +156,12 @@ impl KeyManagementSystem {
 
     fn unwrap_dek(&self, key_id: KeyId, principal: &Principal) -> Result<SecretKey, KmsError> {
         self.use_key(principal, key_id, |entry| {
-            let bytes = self
-                .master
-                .open(&entry.wrapped, &key_id.as_u128().to_le_bytes())
-                .map_err(|_| KmsError::IntegrityFailure)?;
+            let bytes = aead::open(
+                &self.master,
+                &entry.wrapped,
+                &key_id.as_u128().to_le_bytes(),
+            )
+            .map_err(|_| KmsError::IntegrityFailure)?;
             let arr: [u8; 32] = bytes.try_into().map_err(|_| KmsError::IntegrityFailure)?;
             Ok(SecretKey::from_bytes(arr))
         })
@@ -384,17 +389,18 @@ mod tests {
         let kms = KeyManagementSystem::new(&mut rng);
         let k = kms.create_key(&mut rng, &[svc("ingest")]);
         let wrapped = kms.keys.read()[&k].wrapped.to_wire();
+        // Python `cryptography`'s ChaCha20Poly1305, with the same nonce
+        // derivation, seals the DEK and the record to these bytes.
         assert_eq!(
             hc_common::hex::encode(&wrapped),
-            "0c85af09fdc25a11c2c4c3ad05ee2e9fafbecbe089e8d0ec1913bb0fe784ca0a\
-             b2fcb0c32b30c96facb50336d0ce71510ccf77fb47313ed0a1afa8ee2dc7ff01\
-             512474faf98fbd0834f328b8"
+            "17a84f6ef6fa82aa5c7d073ab039bfa20f9f5d67a9af3d77f857c9eb64687737\
+             e7a76b235982ec2241d9fb2e37a33a8566246a895862c8f987c31254"
         );
         let sealed = kms.seal(&svc("ingest"), k, b"record", b"at-rest").unwrap();
         assert_eq!(
             hc_common::hex::encode(&sealed.to_wire()),
-            "2cb2186ed7efd9269f3a9a9bcaa9535e91eef62d8d482cb292c917d21c072900\
-             438150c3d8db87fe140032a1298c256e93d3"
+            "df1e065e9dc7d0f4c2c36991c0e40373805088a735f09062a0b65aca02ad7f0d\
+             f208"
         );
     }
 

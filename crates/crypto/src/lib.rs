@@ -12,12 +12,13 @@
 //! trusted libraries" argument:
 //!
 //! * [`sha256`] — FIPS 180-4 SHA-256 (validated against NIST vectors).
-//! * [`hmac`] — RFC 2104 HMAC-SHA-256 (validated against RFC 4231 vectors).
+//! * [`hmac`] — RFC 2104 HMAC-SHA-256 (validated against RFC 4231 vectors)
+//!   for login tokens, credentials and key derivation.
 //! * [`chacha20`] — RFC 8439 ChaCha20 stream cipher (validated against the
 //!   RFC test vector).
-//! * [`aead`] — encrypt-then-MAC authenticated encryption combining
-//!   ChaCha20 with HMAC-SHA-256, the paper's recommended shared-key +
-//!   integrity design.
+//! * [`aead`] — RFC 8439 ChaCha20-Poly1305 authenticated encryption with
+//!   a synthetic nonce, the paper's recommended shared-key + MAC design
+//!   (validated against the RFC vectors and a second implementation).
 //! * [`merkle`] — Merkle hash trees with inclusion proofs.
 //! * [`ots`] — Lamport one-time signatures and a Merkle many-time signer,
 //!   used for image signing and TPM quotes (hash-based, so the whole
@@ -50,6 +51,7 @@ pub mod hmac;
 pub mod kms;
 pub mod merkle;
 pub mod ots;
+mod poly1305;
 pub mod redactable;
 pub mod sha256;
 

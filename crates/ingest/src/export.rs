@@ -988,7 +988,7 @@ mod tests {
                 let put = shared.lake.lock().put_version(
                     reference,
                     serde_json::to_vec(&sealed).unwrap(),
-                    &[("enc", "envelope-v1"), ("dek", dek.as_str())],
+                    &[("enc", "envelope-v2"), ("dek", dek.as_str())],
                 );
                 format!("{put:?}")
             }

@@ -968,7 +968,7 @@ impl IngestionPipeline {
                 &[
                     ("study", self.shared.study_name.as_str()),
                     ("kind", "bundle"),
-                    ("enc", "envelope-v1"),
+                    ("enc", "envelope-v2"),
                     ("dek", dek_tag.as_str()),
                 ],
             );

@@ -448,7 +448,7 @@ pub fn plant_violations(demo: &mut DemoDeployment) -> Result<Vec<PlantedViolatio
         let reference = lake.put(
             &mut *rng,
             b"sealed-backfill-bytes".to_vec(),
-            &[("enc", "envelope-v1"), ("dek", dek_tag.as_str())],
+            &[("enc", "envelope-v2"), ("dek", dek_tag.as_str())],
         );
         lake.map_identity(reference, orphan_patient);
         reference

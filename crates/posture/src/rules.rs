@@ -109,7 +109,7 @@ pub const POSTURE_RULES: &[Rule] = &[
         severity: Severity::Error,
         description: "Identified PHI record stored without envelope encryption metadata",
         help: "A live record that maps to a patient identity lacks the \
-               `enc=envelope-v1` tag the ingestion pipeline stamps on every sealed \
+               `enc=envelope-v2` tag the ingestion pipeline stamps on every sealed \
                version — the bytes at rest are not provably envelope-encrypted. Fix: \
                re-ingest through the pipeline, or re-seal and tag the version; direct \
                `DataLake::put` of identified data is never compliant.",

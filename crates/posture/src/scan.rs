@@ -505,8 +505,8 @@ mod tests {
         snap.live_keys.insert(42);
         for (path, enc, dek) in [
             ("deployment://lake/record/01", None, None),           // plaintext
-            ("deployment://lake/record/02", Some("envelope-v1"), Some("42")), // clean
-            ("deployment://lake/record/03", Some("envelope-v1"), Some("43")), // shredded
+            ("deployment://lake/record/02", Some("envelope-v2"), Some("42")), // clean
+            ("deployment://lake/record/03", Some("envelope-v2"), Some("43")), // shredded
         ] {
             snap.records.push(RecordSnapshot {
                 path: path.into(),
@@ -533,7 +533,7 @@ mod tests {
                 path: path.into(),
                 patient: None,
                 tombstoned,
-                enc_scheme: Some("envelope-v1".into()),
+                enc_scheme: Some("envelope-v2".into()),
                 dek: Some("42".into()),
             });
         }
@@ -591,7 +591,7 @@ mod tests {
                 path: path.into(),
                 patient: Some(patient),
                 tombstoned: false,
-                enc_scheme: Some("envelope-v1".into()),
+                enc_scheme: Some("envelope-v2".into()),
                 dek: Some("7".into()),
             });
         }

@@ -158,7 +158,7 @@ fn e3() {
                 let sealed = aead::seal(&key, &payload, b"e3");
                 std::hint::black_box(aead::open(&key, &sealed, b"e3").unwrap());
             });
-            // A signature costs ~15x an AEAD round trip at 1 KB, so it
+            // A signature costs ~34x an AEAD round trip at 1 KB, so it
             // needs more calls for its mean to settle.
             let sig_us = mean_us(reps * 10, || {
                 let mut signer = MerkleSigner::generate(&mut rng, 0);

@@ -1,5 +1,5 @@
 //! Known answers for the per-byte kernels every upload runs through:
-//! SHA-256, HMAC-SHA-256 and the sealed envelope built on them, the WAL's
+//! SHA-256, HMAC-SHA-256, the ChaCha20-Poly1305 sealed envelope, the WAL's
 //! CRC-32, and the malware scanner's signature search. Each kernel is also
 //! checked against its previous implementation in its own crate; these
 //! answers pin it from outside, where a consistent bug on both the writing
@@ -90,14 +90,67 @@ fn hmac_and_sealed_envelope_known_answers() {
         .to_hex(),
         "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
     );
-    // The envelope's nonce derivation, enc/mac key split and MAC layout:
-    // every stored record's bytes depend on them.
+    // The envelope's nonce derivation and RFC 8439 ChaCha20-Poly1305:
+    // every stored record's bytes depend on them. Python `cryptography`
+    // seals to the same bytes.
     let sealed = aead::seal(&SecretKey::from_bytes([9; 32]), b"hba1c=6.5", b"patient-42");
     assert_eq!(
         hc_common::hex::encode(&sealed.to_wire()),
-        "066d7c5c06d9ca641c4e3c008d29219404117f38eefdff768b366320edc8a9e4\
-         ca98b6733878ab29c54320db1f2b229b3ff4ce6c37"
+        "bb79b6efa096f50c0c7919b5c9701466a5108214a06314a65507fb1d4a814cd9\
+         12156d9ebf"
     );
+}
+
+/// `scripts/aead_vectors.py`'s output: envelopes built by Python's
+/// `hashlib` and `cryptography` (RFC 8439 ChaCha20Poly1305).
+#[derive(serde::Deserialize)]
+struct AeadVectors {
+    key: String,
+    cases: Vec<AeadVector>,
+}
+
+#[derive(serde::Deserialize)]
+struct AeadVector {
+    plaintext_len: usize,
+    aad_len: usize,
+    /// The whole wire, for plaintexts of at most 65 bytes.
+    wire: Option<String>,
+    /// The wire's SHA-256, for longer plaintexts.
+    wire_sha256: Option<String>,
+}
+
+#[test]
+fn sealed_envelopes_match_the_cross_implementation_vectors() {
+    let vectors: AeadVectors = serde_json::from_str(include_str!("aead_vectors.json")).unwrap();
+    let key = SecretKey::from_bytes(
+        hc_common::hex::decode(&vectors.key)
+            .unwrap()
+            .try_into()
+            .unwrap(),
+    );
+    assert_eq!(vectors.cases.len(), 40);
+    for case in vectors.cases {
+        let plaintext: Vec<u8> = (0..case.plaintext_len)
+            .map(|i| (31 * i + 7) as u8)
+            .collect();
+        let aad: Vec<u8> = (0..case.aad_len).map(|i| (17 * i + 3) as u8).collect();
+        let what = format!(
+            "{}-byte plaintext, {}-byte aad",
+            case.plaintext_len, case.aad_len
+        );
+        let sealed = aead::seal(&key, &plaintext, &aad);
+        let wire = sealed.to_wire();
+        match (case.wire, case.wire_sha256) {
+            (Some(expected), None) => assert_eq!(hc_common::hex::encode(&wire), expected, "{what}"),
+            (None, Some(expected)) => assert_eq!(sha256::hash(&wire).to_hex(), expected, "{what}"),
+            _ => panic!("{what}: a case holds exactly one of wire and wire_sha256"),
+        }
+        assert_eq!(
+            aead::open(&key, &sealed, &aad).unwrap(),
+            plaintext,
+            "{what}"
+        );
+    }
 }
 
 /// The bitwise CRC-32/ISO-HDLC definition (reflected polynomial

@@ -29,7 +29,7 @@ use rand::{Rng, SeedableRng};
 const PROVENANCE_TIP: &str = "c845b8638ee1a377c90e09cef3f5c6ad01da0e412eab50f55561de10ba36c2c4";
 const IDENTITY_TIP: &str = "2203e3c2727b0172a18b85b24839940770aa933851a03a2eba7ffb0f7501ca43";
 const CLOCK_NANOS: u64 = 163_000_000;
-const CORPUS_SHA256: &str = "1733152e8a6c310a2c124b8c7b42ba171348deff6d6eb46aef4ea10293a41e4c";
+const CORPUS_SHA256: &str = "29c865f2576809e7cb40412a2f7ddf324b963d97e5ab897611e6fa22bc8264b1";
 
 fn tip(blocks: &[hc_ledger::block::Block]) -> String {
     blocks.last().expect("genesis block").hash.to_hex()
